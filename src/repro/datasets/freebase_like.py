@@ -139,19 +139,20 @@ def generate_domain(
 
     graph = EntityGraph(name=name)
     members: Dict[str, List[str]] = {}
-    for type_name, population in zip(types, populations):
-        entity_names = [f"{type_name} #{i}" for i in range(population)]
-        members[type_name] = entity_names
-        for entity in entity_names:
-            graph.add_entity(entity, [type_name])
+    with graph.bulk_load():
+        for type_name, population in zip(types, populations):
+            entity_names = [f"{type_name} #{i}" for i in range(population)]
+            members[type_name] = entity_names
+            for entity in entity_names:
+                graph.add_entity(entity, [type_name])
 
-    for rel, count in zip(rels, edge_counts):
-        sources = members[rel.source_type]
-        targets = members[rel.target_type]
-        for _ in range(count):
-            source = sources[rng.randrange(len(sources))]
-            target = targets[skewed_index(len(targets), rng)]
-            graph.add_relationship(source, target, rel)
+        for rel, count in zip(rels, edge_counts):
+            sources = members[rel.source_type]
+            targets = members[rel.target_type]
+            for _ in range(count):
+                source = sources[rng.randrange(len(sources))]
+                target = targets[skewed_index(len(targets), rng)]
+                graph.add_relationship(source, target, rel)
     return graph
 
 

@@ -97,10 +97,7 @@ def random_entity_graph(
     graph = EntityGraph(name=name)
     entities: dict = {}
     for type_name, population in zip(types, populations):
-        members = [f"{type_name}#{i}" for i in range(population)]
-        entities[type_name] = members
-        for member in members:
-            graph.add_entity(member, [type_name])
+        entities[type_name] = [f"{type_name}#{i}" for i in range(population)]
 
     rel_types: List[RelationshipTypeId] = []
     used: set = set()
@@ -122,13 +119,17 @@ def random_entity_graph(
     edge_counts = allocate_counts(
         num_edges, zipf_weights(len(rel_types)), minimum=1, rng=rng, noise=0.3
     )
-    for rel, count in zip(rel_types, edge_counts):
-        sources = entities[rel.source_type]
-        targets = entities[rel.target_type]
-        for _ in range(count):
-            s = sources[rng.randrange(len(sources))]
-            t = targets[skewed_index(len(targets), rng)]
-            graph.add_relationship(s, t, rel)
+    with graph.bulk_load():
+        for type_name, members in entities.items():
+            for member in members:
+                graph.add_entity(member, [type_name])
+        for rel, count in zip(rel_types, edge_counts):
+            sources = entities[rel.source_type]
+            targets = entities[rel.target_type]
+            for _ in range(count):
+                s = sources[rng.randrange(len(sources))]
+                t = targets[skewed_index(len(targets), rng)]
+                graph.add_relationship(s, t, rel)
     return graph
 
 

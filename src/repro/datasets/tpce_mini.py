@@ -85,19 +85,22 @@ def build_tpce_mini(seed: int = 0) -> EntityGraph:
     rng = random.Random(seed)
     graph = EntityGraph(name="tpce-mini")
     members: Dict[str, List[str]] = {}
-    for type_name, population in TPCE_TYPES:
-        entities = [f"{type_name} #{i}" for i in range(population)]
-        members[type_name] = entities
-        for entity in entities:
-            graph.add_entity(entity, [type_name])
-    for name, source_type, target_type, count in TPCE_RELATIONSHIPS:
-        rel = RelationshipTypeId(name, source_type, target_type)
-        sources = members[source_type]
-        targets = members[target_type]
-        for i in range(count):
-            # Facts reference sources roughly uniformly; targets follow a
-            # mild popularity skew (as FK distributions do in practice).
-            source = sources[i % len(sources)]
-            target = targets[min(len(targets) - 1, int(len(targets) * rng.random() ** 1.5))]
-            graph.add_relationship(source, target, rel)
+    with graph.bulk_load():
+        for type_name, population in TPCE_TYPES:
+            entities = [f"{type_name} #{i}" for i in range(population)]
+            members[type_name] = entities
+            for entity in entities:
+                graph.add_entity(entity, [type_name])
+        for name, source_type, target_type, count in TPCE_RELATIONSHIPS:
+            rel = RelationshipTypeId(name, source_type, target_type)
+            sources = members[source_type]
+            targets = members[target_type]
+            for i in range(count):
+                # Facts reference sources roughly uniformly; targets follow
+                # a mild popularity skew (as FK distributions do in practice).
+                source = sources[i % len(sources)]
+                target = targets[
+                    min(len(targets) - 1, int(len(targets) * rng.random() ** 1.5))
+                ]
+                graph.add_relationship(source, target, rel)
     return graph

@@ -636,3 +636,41 @@ class PublicDocstrings:
                 f"public {kind} {name} has no docstring",
                 "document it; docs/ file:symbol references depend on these",
             )
+
+
+@register_lint_rule(
+    "REP113",
+    "collector-confinement",
+    "the cyclic garbage collector is paused and resumed only by the "
+    "entity graph's bulk-load path (repro.model.entity_graph)",
+    modules=("repro",),
+    exclude=("repro.model.entity_graph",),
+)
+class CollectorConfinement:
+    """One place toggles the process-wide garbage collector.
+
+    ``gc.disable``/``gc.enable``/``gc.freeze``/``gc.unfreeze`` change
+    state every thread shares, so overlapping callers must agree on who
+    restores it.  :meth:`~repro.model.entity_graph.EntityGraph.bulk_load`
+    owns that bookkeeping (a shared pause depth); a second toggle
+    elsewhere could re-enable the collector under a live bulk load or
+    leave it off for good.  Reads (``gc.isenabled``) and explicit
+    ``gc.collect`` calls stay legal.
+    """
+
+    interests = (ast.Call, ast.ImportFrom)
+
+    TOGGLES = frozenset({"disable", "enable", "freeze", "unfreeze"})
+
+    def check(self, node: ast.AST, ctx) -> Iterator[Violation]:
+        """Flag collector toggles, called or imported by name."""
+        hint = "build inside EntityGraph.bulk_load() instead"
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "gc":
+                for alias in node.names:
+                    if alias.name in self.TOGGLES:
+                        yield (node, f"import of gc.{alias.name}", hint)
+            return
+        parts = _call_name(node.func).split(".")
+        if len(parts) == 2 and parts[0] == "gc" and parts[1] in self.TOGGLES:
+            yield (node, f"call to gc.{parts[1]}() outside the bulk-load path", hint)

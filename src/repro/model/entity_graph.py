@@ -12,14 +12,24 @@ The class maintains the aggregate statistics the scoring measures consume:
 * per-relationship-type edge counts — coverage non-key scoring;
 * per-type-pair edge totals — random-walk edge weights ``w_ij``;
 * per-entity typed adjacency — entropy scoring and tuple materialization.
+
+Whole-graph builders (dataset generators, store materialization, snapshot
+restore) run inside :meth:`EntityGraph.bulk_load`, which keeps every
+validating insert but skips the per-mutation changelog and pauses the
+cyclic garbage collector for the build.  This module is the one place
+that toggles the collector (a lint rule enforces it).
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import (
+    ModelError,
     SchemaViolationError,
     UnknownEntityError,
     UnknownRelationshipTypeError,
@@ -29,6 +39,30 @@ from ..graph import DirectedMultigraph
 from .attributes import Direction, NonKeyAttribute
 from .ids import EntityId, RelationshipTypeId, TypeId
 from .mutation_log import MutationLog
+
+# The collector is process-wide, so overlapping bulk loads (nested, or on
+# different threads) share one pause: the first in disables it, the last
+# out restores the state the first one found.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_collector_was_enabled = False
+
+
+def _pause_collector() -> None:
+    global _pause_depth, _collector_was_enabled
+    with _pause_lock:
+        if _pause_depth == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+
+
+def _resume_collector() -> None:
+    global _pause_depth
+    with _pause_lock:
+        _pause_depth -= 1
+        if _pause_depth == 0 and _collector_was_enabled:
+            gc.enable()
 
 
 class EntityGraph:
@@ -43,7 +77,8 @@ class EntityGraph:
     per-generation changelog of dirty key types and relationship types
     that the incremental scoring pipeline (contexts, candidate pools,
     engine memos) consumes to patch itself in O(delta); see
-    :mod:`repro.model.mutation_log`.
+    :mod:`repro.model.mutation_log`.  A :meth:`bulk_load` build counts
+    its mutations instead and starts the log at an empty window.
     """
 
     def __init__(self, name: str = "entity-graph") -> None:
@@ -57,11 +92,50 @@ class EntityGraph:
         self._in: Dict[Tuple[EntityId, RelationshipTypeId], List[EntityId]] = {}
         #: Per-generation changelog of what each mutation dirtied.
         self.mutation_log = MutationLog()
+        # Mutations applied inside a live bulk_load(), else None.
+        self._bulk_mutations: Optional[int] = None
 
     @property
     def generation(self) -> int:
         """Total successful mutations — the cache-invalidation epoch."""
         return self.mutation_log.generation
+
+    @contextmanager
+    def bulk_load(self) -> Iterator["EntityGraph"]:
+        """Build a pristine graph in bulk: ``with graph.bulk_load(): ...``.
+
+        Inside the block :meth:`add_entity` and :meth:`add_relationship`
+        validate exactly as always (same checks, same typed errors), but
+        each mutation is only *counted*: no changelog entry is written.
+        On exit the mutation log is fast-forwarded once to the
+        count, so the graph ends at the same :attr:`generation` a
+        per-mutation build reaches, with an empty delta window
+        (``mutation_log.horizon == generation``; every earlier baseline
+        answers :data:`~repro.model.mutation_log.FULL_DELTA`).  The cyclic
+        garbage collector is paused for the build and ends in the state
+        the build found it in, also when the build raises.
+
+        Raises
+        ------
+        ModelError
+            When the graph has already been mutated (generation > 0) or
+            a bulk load is already open on it.
+        """
+        if self._bulk_mutations is not None:
+            raise ModelError(f"a bulk load is already open on {self.name!r}")
+        if self.generation != 0:
+            raise ModelError(
+                f"bulk_load needs a pristine graph; {self.name!r} is at "
+                f"generation {self.generation}"
+            )
+        self._bulk_mutations = 0
+        _pause_collector()
+        try:
+            yield self
+        finally:
+            mutations, self._bulk_mutations = self._bulk_mutations, None
+            self.mutation_log.fast_forward(mutations)
+            _resume_collector()
 
     # ------------------------------------------------------------------
     # Entities and types
@@ -79,14 +153,19 @@ class EntityGraph:
         # across processes, unlike set iteration) — the schema graph,
         # candidate pool and verification rescans all rely on it.
         new_types = [t for t in type_list if t not in existing]
-        # A type first seen here adds a schema-graph vertex: structural.
-        structural = any(
-            type_name not in self._entities_by_type for type_name in new_types
-        )
+        structural = False
         for type_name in new_types:
             existing.add(type_name)
-            self._entities_by_type.setdefault(type_name, set()).add(entity)
-        self.mutation_log.record(key_types=new_types, structural=structural)
+            members = self._entities_by_type.get(type_name)
+            if members is None:
+                # A type first seen here adds a schema-graph vertex.
+                members = self._entities_by_type[type_name] = set()
+                structural = True
+            members.add(entity)
+        if self._bulk_mutations is None:
+            self.mutation_log.record(key_types=new_types, structural=structural)
+        else:
+            self._bulk_mutations += 1
 
     def has_entity(self, entity: EntityId) -> bool:
         """Whether ``entity`` exists in the graph."""
@@ -162,6 +241,9 @@ class EntityGraph:
         self._edge_counts[rel_type] += 1
         self._out.setdefault((source, rel_type), []).append(target)
         self._in.setdefault((target, rel_type), []).append(source)
+        if self._bulk_mutations is not None:
+            self._bulk_mutations += 1
+            return
         # Instance counts feed the non-key scores of both endpoint types
         # (γ appears in Γ_src as OUT and in Γ_tgt as IN): they are the
         # key types this mutation dirties.

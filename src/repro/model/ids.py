@@ -34,9 +34,26 @@ class RelationshipTypeId:
     matching the paper's data model.
     """
 
+    __slots__ = ("name", "source_type", "target_type", "_hash")
+
     name: str
     source_type: TypeId
     target_type: TypeId
+
+    def __post_init__(self) -> None:
+        # Ids are hashed on every edge insertion and adjacency lookup;
+        # hash the triple once instead of on every ``__hash__`` call.
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.source_type, self.target_type))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle the three fields only: the cached hash is seed-specific,
+        # and a spawned worker may run under a different hash seed.
+        return (type(self), (self.name, self.source_type, self.target_type))
 
     def __str__(self) -> str:
         return f"{self.name} ({self.source_type} -> {self.target_type})"

@@ -25,7 +25,7 @@ snapshot generation so subsequent stream deltas line up.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from ..datasets.loader import graph_fingerprint
 from ..exceptions import ModelError, ReplicationError
@@ -108,19 +108,20 @@ def restore_snapshot(record: Dict[str, Any]) -> EntityGraph:
         raise ReplicationError("snapshot 'name' must be a string")
 
     graph = EntityGraph(name=name)
+    # One id per distinct (name, source, target) triple, not per row.
+    rel_ids: Dict[Tuple[str, str, str], RelationshipTypeId] = {}
     try:
-        for entry in record.get("entities", ()):
-            entity, indexes = entry
-            graph.add_entity(entity, [type_order[i] for i in indexes])
-        for entry in record.get("relationships", ()):
-            source, target, rel_name, source_type, target_type = entry
-            graph.add_relationship(
-                source,
-                target,
-                RelationshipTypeId(
-                    name=rel_name, source_type=source_type, target_type=target_type
-                ),
-            )
+        with graph.bulk_load():
+            for entry in record.get("entities", ()):
+                entity, indexes = entry
+                graph.add_entity(entity, [type_order[i] for i in indexes])
+            for entry in record.get("relationships", ()):
+                source, target, rel_name, source_type, target_type = entry
+                key = (rel_name, source_type, target_type)
+                rel_type = rel_ids.get(key)
+                if rel_type is None:
+                    rel_type = rel_ids[key] = RelationshipTypeId(*key)
+                graph.add_relationship(source, target, rel_type)
     except (TypeError, ValueError, IndexError, KeyError, ModelError) as exc:
         raise ReplicationError(f"malformed snapshot content: {exc}") from exc
 

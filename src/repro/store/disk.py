@@ -46,14 +46,16 @@ store never answers queries.  See ``docs/disk-store.md``.
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import re
 import struct
 import sys
+import uuid
 from array import array
 from collections import Counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import DiskStoreError, ModelError, ReplicationError
 from ..model.entity_graph import EntityGraph
@@ -309,15 +311,47 @@ def build_store(graph: EntityGraph, path: PathLike) -> int:
     table = b"".join(
         _SECTION_ENTRY.pack(*sections[name]) for name in SECTION_NAMES
     )
+    # Never write the target in place: a live open_store() of the same
+    # path maps it, and truncating a mapped file kills its readers with
+    # SIGBUS.  Write a sibling, make it durable, then swap it in.
+    target = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(target))
+    temporary = os.path.join(
+        directory, f".{os.path.basename(target)}.{uuid.uuid4().hex[:12]}.tmp"
+    )
     try:
-        with open(path, "wb") as handle:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise DiskStoreError(f"cannot write store file {target}: {exc}") from exc
+    try:
+        with os.fdopen(fd, "wb") as handle:
             handle.write(header)
             handle.write(table)
             for name in write_order:
                 handle.write(payloads[name])
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, target)
     except OSError as exc:
-        raise DiskStoreError(f"cannot write store file {path!s}: {exc}") from exc
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise DiskStoreError(f"cannot write store file {target}: {exc}") from exc
+    _fsync_directory(directory)
     return total_size
+
+
+def _fsync_directory(directory: str) -> None:
+    """Make a rename inside ``directory`` durable (best effort off POSIX)."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platforms without directory fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - filesystems that refuse it
+        pass
+    finally:
+        os.close(fd)
 
 
 class DiskGraphStore:
@@ -465,27 +499,43 @@ class DiskGraphStore:
         DiskStoreError
             For an out-of-range id or a dangling dictionary offset.
         """
-        if not 0 <= string_id < self.dict_count:
-            raise DiskStoreError(
-                f"{self._path}: string id {string_id} is outside the "
-                f"{self.dict_count}-entry dictionary"
-            )
+        return self.strings((string_id,))[0]
+
+    def strings(self, string_ids: Iterable[int]) -> List[str]:
+        """The dictionary strings with ids ``string_ids``, in order.
+
+        One section lookup for the whole batch; each id is checked like
+        :meth:`string` checks it.
+
+        Raises
+        ------
+        DiskStoreError
+            For an out-of-range id or a dangling dictionary offset.
+        """
         offsets = self._section("dict_offsets")
         blob_offset, blob_length = self._sections["dict_blob"]
-        start, end = offsets[string_id], offsets[string_id + 1]
-        if not 0 <= start <= end <= blob_length:
-            raise DiskStoreError(
-                f"{self._path}: dangling dictionary offset for string "
-                f"{string_id} ([{start}, {end}) in a {blob_length}-byte blob)"
-            )
-        try:
-            return bytes(
-                self._view[blob_offset + start:blob_offset + end]
-            ).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DiskStoreError(
-                f"{self._path}: string {string_id} is not valid UTF-8: {exc}"
-            ) from exc
+        blob = self._view[blob_offset:blob_offset + blob_length]
+        dict_count = self.dict_count
+        decoded = []
+        for string_id in string_ids:
+            if not 0 <= string_id < dict_count:
+                raise DiskStoreError(
+                    f"{self._path}: string id {string_id} is outside the "
+                    f"{dict_count}-entry dictionary"
+                )
+            start, end = offsets[string_id], offsets[string_id + 1]
+            if not 0 <= start <= end <= blob_length:
+                raise DiskStoreError(
+                    f"{self._path}: dangling dictionary offset for string "
+                    f"{string_id} ([{start}, {end}) in a {blob_length}-byte blob)"
+                )
+            try:
+                decoded.append(str(blob[start:end], "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DiskStoreError(
+                    f"{self._path}: string {string_id} is not valid UTF-8: {exc}"
+                ) from exc
+        return decoded
 
     def string_id(self, text: str) -> Optional[int]:
         """The dictionary id of ``text`` (binary search), or ``None``."""
@@ -716,8 +766,11 @@ class DiskGraphStore:
         order, and the mutation log is fast-forwarded to the stored
         generation — exactly the
         :func:`~repro.replicate.snapshot.restore_snapshot` contract.
-        With ``verify`` (the default) the materialized graph's
-        fingerprint is recomputed and checked against the header.
+        The replay runs inside :meth:`EntityGraph.bulk_load`, and each
+        entity name is decoded once: every adjacency list holds the
+        same string object as the entity's own key.  With ``verify``
+        (the default) the materialized graph's fingerprint is
+        recomputed and checked against the header.
 
         Raises
         ------
@@ -728,58 +781,53 @@ class DiskGraphStore:
         from ..datasets.loader import graph_fingerprint
 
         graph = EntityGraph(name=self.name)
-        type_order_view = self._section("type_order")
-        type_names = [self.string(type_order_view[i]) for i in range(self.type_count)]
-        entity_ids = self._section("entity_ids")
+        type_names = self.strings(self._section("type_order"))
+        names = self.strings(self._section("entity_ids"))
         type_offsets = self._section("entity_type_offsets")
         type_indexes = self._section("entity_type_indexes")
         index_count = self._sections["entity_type_indexes"][1] // 8
+        entity_count = self.entity_count
+        reltype_count = self.reltype_count
         try:
-            for row in range(self.entity_count):
-                start, end = type_offsets[row], type_offsets[row + 1]
-                if not 0 <= start <= end <= index_count:
-                    raise DiskStoreError(
-                        f"{self._path}: entity {row} type slice "
-                        f"[{start}, {end}) overruns the index section"
-                    )
-                types = []
-                for i in range(start, end):
-                    rank = type_indexes[i]
-                    if rank >= self.type_count:
+            with graph.bulk_load():
+                for row, entity in enumerate(names):
+                    start, end = type_offsets[row], type_offsets[row + 1]
+                    if not 0 <= start <= end <= index_count:
                         raise DiskStoreError(
-                            f"{self._path}: entity {row} references type "
-                            f"rank {rank} of {self.type_count}"
+                            f"{self._path}: entity {row} type slice "
+                            f"[{start}, {end}) overruns the index section"
                         )
-                    types.append(type_names[rank])
-                graph.add_entity(self.string(entity_ids[row]), types)
-            reltype_view = self._section("reltype_table")
-            reltypes = [
-                RelationshipTypeId(
-                    name=self.string(reltype_view[3 * i]),
-                    source_type=self.string(reltype_view[3 * i + 1]),
-                    target_type=self.string(reltype_view[3 * i + 2]),
-                )
-                for i in range(self.reltype_count)
-            ]
-            rel_view = self._section("relationships")
-            for i in range(self.relationship_count):
-                source_row, rank, target_row = rel_view[3 * i:3 * i + 3]
-                if source_row >= self.entity_count or target_row >= self.entity_count:
-                    raise DiskStoreError(
-                        f"{self._path}: relationship {i} references entity "
-                        f"row {max(source_row, target_row)} of "
-                        f"{self.entity_count}"
+                    types = []
+                    for rank in type_indexes[start:end]:
+                        if rank >= self.type_count:
+                            raise DiskStoreError(
+                                f"{self._path}: entity {row} references type "
+                                f"rank {rank} of {self.type_count}"
+                            )
+                        types.append(type_names[rank])
+                    graph.add_entity(entity, types)
+                reltype_strings = self.strings(self._section("reltype_table"))
+                reltypes = [
+                    RelationshipTypeId(*reltype_strings[3 * i:3 * i + 3])
+                    for i in range(reltype_count)
+                ]
+                rows = iter(self._section("relationships"))
+                for i, (source_row, rank, target_row) in enumerate(
+                    zip(rows, rows, rows)
+                ):
+                    if source_row >= entity_count or target_row >= entity_count:
+                        raise DiskStoreError(
+                            f"{self._path}: relationship {i} references entity "
+                            f"row {max(source_row, target_row)} of {entity_count}"
+                        )
+                    if rank >= reltype_count:
+                        raise DiskStoreError(
+                            f"{self._path}: relationship {i} references "
+                            f"relationship type {rank} of {reltype_count}"
+                        )
+                    graph.add_relationship(
+                        names[source_row], names[target_row], reltypes[rank]
                     )
-                if rank >= self.reltype_count:
-                    raise DiskStoreError(
-                        f"{self._path}: relationship {i} references "
-                        f"relationship type {rank} of {self.reltype_count}"
-                    )
-                graph.add_relationship(
-                    self.string(entity_ids[source_row]),
-                    self.string(entity_ids[target_row]),
-                    reltypes[rank],
-                )
         except ModelError as exc:
             raise DiskStoreError(
                 f"{self._path}: stored graph violates the data model: {exc}"

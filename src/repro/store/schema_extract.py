@@ -48,20 +48,21 @@ def entity_graph_from_store(store: TripleStore, name: str = "entity-graph") -> E
             types = entity_types.setdefault(triple.subject, [])
             if triple.object not in types:
                 types.append(triple.object)
-    for entity, types in entity_types.items():
-        graph.add_entity(entity, types)
-    for triple, count in store.triples():
-        if triple.predicate == TYPE_PREDICATE:
-            continue
-        try:
-            rel_type = parse_qualified_name(triple.predicate)
-        except ModelError as exc:
-            raise StoreError(
-                f"predicate {triple.predicate!r} is not a qualified "
-                f"relationship type: {exc}"
-            ) from exc
-        for _ in range(count):
-            graph.add_relationship(triple.subject, triple.object, rel_type)
+    with graph.bulk_load():
+        for entity, types in entity_types.items():
+            graph.add_entity(entity, types)
+        for triple, count in store.triples():
+            if triple.predicate == TYPE_PREDICATE:
+                continue
+            try:
+                rel_type = parse_qualified_name(triple.predicate)
+            except ModelError as exc:
+                raise StoreError(
+                    f"predicate {triple.predicate!r} is not a qualified "
+                    f"relationship type: {exc}"
+                ) from exc
+            for _ in range(count):
+                graph.add_relationship(triple.subject, triple.object, rel_type)
     return graph
 
 

@@ -15,8 +15,12 @@ Three properties carry the module:
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +132,88 @@ class TestRoundTrip:
         clone.add_entity("NEW ONE", ["FILM"])
         assert clone.generation == source.generation
         assert graph_fingerprint(clone) == graph_fingerprint(source)
+
+
+    def test_materialized_neighbours_share_the_entity_keys(self, tmp_path):
+        """Each entity name is decoded once and reused by every edge.
+
+        Per-row decoding would give every adjacency entry its own copy
+        of the string — equal, so only identity catches it (~30 MB at
+        music scale).
+        """
+        path = tmp_path / f"film{STORE_EXTENSION}"
+        build_store(generate_domain("film", scale=1000, seed=0), path)
+        with open_store(path) as store:
+            graph = store.entity_graph()
+        keys = {entity: entity for entity in graph.entities()}
+        checked = 0
+        for rel in graph.relationship_types():
+            for entity in graph.entities_of_type(rel.source_type):
+                for target in graph.targets(entity, rel):
+                    assert target is keys[target]
+                    checked += 1
+            for entity in graph.entities_of_type(rel.target_type):
+                for source in graph.sources(entity, rel):
+                    assert source is keys[source]
+        for source, target, _rel in graph.relationships():
+            assert source is keys[source] and target is keys[target]
+        assert checked == graph.edge_count
+
+    def test_materialized_graph_starts_with_an_empty_delta_window(self, domain_pair):
+        _graph, path = domain_pair
+        with open_store(path) as store:
+            clone = store.entity_graph()
+        assert clone.mutation_log.horizon == clone.generation == store.generation
+        assert len(clone.mutation_log) == 0
+
+
+# A reader maps the file it opened; rebuilding that path must swap in a
+# new file, not rewrite the mapped one (which kills the reader with
+# SIGBUS), so this runs in a child process the signal cannot take down
+# with the test runner.
+_REBUILD_UNDER_READER = """
+import sys
+from repro.datasets import generate_domain
+from repro.store import build_store, open_store
+path = sys.argv[1]
+build_store(generate_domain("film", scale=2000, seed=0), path)
+reader = open_store(path)
+build_store(generate_domain("architecture", scale=2000, seed=0), path)
+graph = reader.entity_graph(verify=True)
+with open_store(path) as fresh:
+    print(graph.name, fresh.name)
+"""
+
+
+class TestAtomicBuild:
+    def test_open_reader_survives_a_rebuild(self, tmp_path):
+        path = tmp_path / f"live{STORE_EXTENSION}"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _REBUILD_UNDER_READER, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (done.returncode, done.stderr[-2000:])
+        assert done.stdout.split() == ["film", "architecture"]
+
+    def test_rebuild_leaves_no_temporary_files(self, tmp_path):
+        path = tmp_path / f"g{STORE_EXTENSION}"
+        build_store(build_fig1_graph(), path)
+        build_store(build_fig1_graph(), path)
+        assert sorted(os.listdir(tmp_path)) == [path.name]
+
+    def test_unwritable_target_raises_and_cleans_up(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # os.replace cannot swap a file over a directory
+        with pytest.raises(DiskStoreError, match="cannot write"):
+            build_store(build_fig1_graph(), target)
+        assert os.listdir(tmp_path) == ["taken"]
+        with pytest.raises(DiskStoreError, match="cannot write"):
+            build_store(build_fig1_graph(), tmp_path / "missing" / "g.rgs")
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +410,38 @@ class TestCorruption:
         with open_store(fig1_store) as store:
             with pytest.raises(DiskStoreError, match="outside the"):
                 store.string(10_000_000)
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    def test_schema_violation_mid_load_is_a_store_error(
+        self, fig1_store, collector_on
+    ):
+        """A relationship row whose type contradicts its endpoints fails
+        the bulk replay loudly and leaves the collector as it was."""
+        graph = build_fig1_graph()
+        rels = list(graph.relationships())
+        reltypes = graph.relationship_types()
+        row = len(rels) // 2
+        source = rels[row][0]
+        wrong = next(
+            rank for rank, rel in enumerate(reltypes)
+            if rel.source_type not in graph.types_of(source)
+        )
+
+        def retype(data):
+            entry = _SECTION_TABLE + SECTION_NAMES.index("relationships") * 16
+            offset, _length = struct.unpack_from("<QQ", data, entry)
+            struct.pack_into("<Q", data, offset + (3 * row + 1) * 8, wrong)
+
+        _rewrite(fig1_store, retype)
+        if not collector_on:
+            gc.disable()
+        try:
+            with open_store(fig1_store) as store:
+                with pytest.raises(DiskStoreError, match="violates the data model"):
+                    store.entity_graph()
+            assert gc.isenabled() is collector_on
+        finally:
+            gc.enable()
 
     def test_disk_store_error_is_a_store_error(self):
         assert issubclass(DiskStoreError, StoreError)

@@ -51,6 +51,7 @@ RULE_FIXTURES = [
     ("rep110", "repro.anywhere.sample", "REP110"),
     ("rep111", "repro.plugins.sample", "REP111"),
     ("rep112", "repro.anywhere.sample", "REP112"),
+    ("rep113", "repro.anywhere.sample", "REP113"),
 ]
 
 
@@ -159,6 +160,14 @@ class TestRuleEdgeCases:
         messages = [f.message for f in findings]
         assert len(findings) == 3
         assert any("REPRO_FIXTURE_FLAG" in m for m in messages)
+
+    def test_rep113_flags_every_toggle(self):
+        findings = lint_file(CORPUS / "rep113_bad.py", module="repro.sample")
+        assert [f.rule_id for f in findings] == ["REP113"] * 3
+
+    def test_rep113_exempts_the_bulk_load_home(self):
+        for module in ("repro.model.entity_graph", "tests.test_sample"):
+            assert lint_file(CORPUS / "rep113_bad.py", module=module) == []
 
     def test_rep999_reserves_the_whole_file(self):
         findings = lint_file(CORPUS / "rep999_bad.py", module="repro.sample")
