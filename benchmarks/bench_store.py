@@ -30,7 +30,8 @@ A third row records the real-scale cold start: **music** at scale 1000
 (215,480 mutations), where both materialize and regenerate run through
 ``EntityGraph.bulk_load``.  It records ``materialize_ms`` and
 ``regenerate_ms`` and asserts only that the two graphs agree
-(fingerprint and generation) — no timing floor.
+(fingerprint, generation, relationship-type order and the exact
+relationship sequence) — no timing floor.
 
 Wall times land in ``BENCH_store.json`` at the repo root.  Run directly
 (``PYTHONPATH=src python benchmarks/bench_store.py``) or through pytest
@@ -155,6 +156,10 @@ def _measure_music(directory: Path) -> dict:
             graph_fingerprint(reopened) == graph_fingerprint(graph)
         ),
         "generation_identical": reopened.generation == graph.generation,
+        "order_identical": (
+            reopened.relationship_types() == graph.relationship_types()
+            and list(reopened.relationships()) == list(graph.relationships())
+        ),
     }
 
 
@@ -202,7 +207,11 @@ def check(payload):
         f"{largest['regenerate_ms']:.0f} ms"
     )
     music = payload["music"]
-    assert music["fingerprint_identical"] and music["generation_identical"], (
+    assert (
+        music["fingerprint_identical"]
+        and music["generation_identical"]
+        and music["order_identical"]
+    ), (
         f"music scale {music['scale']}: the materialized graph drifted from "
         "the generated one"
     )

@@ -644,7 +644,7 @@ def build_dataset_parser() -> argparse.ArgumentParser:
         "--domain", choices=DOMAINS, help="built-in domain to store"
     )
     source.add_argument(
-        "--file", help="dataset file to store (.tsv/.jsonl)"
+        "--file", help="dataset file to store (.tsv/.jsonl/.rgs)"
     )
     build.add_argument(
         "--scale", type=int, default=1000, help="domain downscale factor"

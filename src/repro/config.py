@@ -66,7 +66,7 @@ KERNEL = _declare(
 )
 DISPATCH_THRESHOLD = _declare(
     "REPRO_DISPATCH_THRESHOLD",
-    None,  # the kernel planner owns the numeric default (4096)
+    None,  # repro.plan owns the numeric default (4096)
     "subset count below which scoring never pays for the process pool",
 )
 TEST_JOBS = _declare(

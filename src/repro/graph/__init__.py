@@ -1,8 +1,8 @@
 """Graph substrate: multigraphs, traversal, random walks, cliques.
 
 This subpackage is self-contained (no third-party dependencies) and
-provides the structures the entity-graph data model and the preview
-discovery algorithms are built on.
+provides the structures the schema graph and the preview discovery
+algorithms are built on.
 """
 
 from .cliques import (

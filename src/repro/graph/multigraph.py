@@ -1,26 +1,23 @@
 """A directed multigraph with labelled parallel edges.
 
-This is the structural substrate underneath both the entity graph and the
-schema graph of the paper.  Both are directed multigraphs: an entity graph
-may contain several differently-typed relationships between the same pair
-of entities (e.g. *Actor* and *Executive Producer* from ``Will Smith`` to
-``I, Robot`` in Fig. 1), and a schema graph may contain several
-relationship types between the same pair of entity types.
+This is the structural substrate underneath the paper's schema graph,
+which may contain several relationship types between the same pair of
+entity types.  The traversal, distance and component helpers accept it
+alongside :class:`~repro.graph.simple.UndirectedGraph`.
 
 The implementation is intentionally dependency-free: adjacency is stored
 as ``dict[node, dict[node, dict[key, label]]]`` in both directions, which
-makes successor/predecessor scans O(out-degree) and edge insertion O(1).
+makes neighbor scans O(degree) and edge insertion O(1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterator, Tuple
 
-from ..exceptions import EdgeNotFoundError, NodeNotFoundError
+from ..exceptions import NodeNotFoundError
 
 Node = Hashable
 EdgeKey = int
-Edge = Tuple[Node, Node, EdgeKey]
 
 
 class DirectedMultigraph:
@@ -28,9 +25,8 @@ class DirectedMultigraph:
 
     Parallel edges between the same ordered pair of nodes are allowed and
     distinguished by an integer *edge key* assigned at insertion time.
-    Each edge carries an arbitrary *label* (the entity graph uses
-    relationship-type identifiers, the schema graph uses relationship-type
-    names).
+    Each edge carries an arbitrary *label* (the schema graph uses
+    relationship-type identifiers).
     """
 
     def __init__(self) -> None:
@@ -51,21 +47,6 @@ class DirectedMultigraph:
     def has_node(self, node: Node) -> bool:
         """Whether ``node`` is in the graph."""
         return node in self._succ
-
-    def remove_node(self, node: Node) -> None:
-        """Remove ``node`` and all incident edges."""
-        if node not in self._succ:
-            raise NodeNotFoundError(node)
-        for target, keyed in list(self._succ[node].items()):
-            self._edge_count -= len(keyed)
-            del self._pred[target][node]
-        for source, keyed in list(self._pred[node].items()):
-            if source == node:
-                continue  # self-loops were removed with successors
-            self._edge_count -= len(keyed)
-            del self._succ[source][node]
-        del self._succ[node]
-        del self._pred[node]
 
     def nodes(self) -> Iterator[Node]:
         """Iterator over nodes in insertion order."""
@@ -94,27 +75,6 @@ class DirectedMultigraph:
         self._edge_count += 1
         return key
 
-    def has_edge(self, source: Node, target: Node) -> bool:
-        """Return True if at least one edge ``source -> target`` exists."""
-        return source in self._succ and target in self._succ[source]
-
-    def remove_edge(self, source: Node, target: Node, key: EdgeKey) -> None:
-        """Remove the edge identified by ``(source, target, key)``."""
-        try:
-            label_map = self._succ[source][target]
-            del label_map[key]
-        except KeyError:
-            raise EdgeNotFoundError(
-                f"no edge {source!r} -> {target!r} with key {key}"
-            ) from None
-        if not label_map:
-            del self._succ[source][target]
-        pred_map = self._pred[target][source]
-        del pred_map[key]
-        if not pred_map:
-            del self._pred[target][source]
-        self._edge_count -= 1
-
     @property
     def edge_count(self) -> int:
         """Number of edges."""
@@ -127,29 +87,9 @@ class DirectedMultigraph:
                 for key, label in keyed.items():
                     yield source, target, key, label
 
-    def edges_between(self, source: Node, target: Node) -> List[Tuple[EdgeKey, object]]:
-        """Return ``(key, label)`` for all parallel edges ``source -> target``."""
-        if source not in self._succ:
-            raise NodeNotFoundError(source)
-        if target not in self._succ:
-            raise NodeNotFoundError(target)
-        return list(self._succ[source].get(target, {}).items())
-
     # ------------------------------------------------------------------
     # Adjacency
     # ------------------------------------------------------------------
-    def successors(self, node: Node) -> Iterator[Node]:
-        """Iterator over out-neighbors of ``node``, in insertion order."""
-        if node not in self._succ:
-            raise NodeNotFoundError(node)
-        return iter(self._succ[node])
-
-    def predecessors(self, node: Node) -> Iterator[Node]:
-        """Iterator over in-neighbors of ``node``, in insertion order."""
-        if node not in self._pred:
-            raise NodeNotFoundError(node)
-        return iter(self._pred[node])
-
     def neighbors(self, node: Node) -> Iterator[Node]:
         """Yield distinct neighbors in either direction (undirected view)."""
         if node not in self._succ:
@@ -159,61 +99,6 @@ class DirectedMultigraph:
         for other in self._pred[node]:
             if other not in seen:
                 yield other
-
-    def out_edges(self, node: Node) -> Iterator[Tuple[Node, EdgeKey, object]]:
-        """Yield ``(target, key, label)`` for edges leaving ``node``."""
-        if node not in self._succ:
-            raise NodeNotFoundError(node)
-        for target, keyed in self._succ[node].items():
-            for key, label in keyed.items():
-                yield target, key, label
-
-    def in_edges(self, node: Node) -> Iterator[Tuple[Node, EdgeKey, object]]:
-        """Yield ``(source, key, label)`` for edges entering ``node``."""
-        if node not in self._pred:
-            raise NodeNotFoundError(node)
-        for source, keyed in self._pred[node].items():
-            for key, label in keyed.items():
-                yield source, key, label
-
-    def out_degree(self, node: Node) -> int:
-        """Number of outgoing edges of ``node``."""
-        if node not in self._succ:
-            raise NodeNotFoundError(node)
-        return sum(len(keyed) for keyed in self._succ[node].values())
-
-    def in_degree(self, node: Node) -> int:
-        """Number of incoming edges of ``node``."""
-        if node not in self._pred:
-            raise NodeNotFoundError(node)
-        return sum(len(keyed) for keyed in self._pred[node].values())
-
-    def degree(self, node: Node) -> int:
-        """Total incident edge count; self-loops count twice."""
-        return self.out_degree(node) + self.in_degree(node)
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def copy(self) -> "DirectedMultigraph":
-        """Independent copy of the graph structure."""
-        clone = DirectedMultigraph()
-        for node in self.nodes():
-            clone.add_node(node)
-        for source, target, _key, label in self.edges():
-            clone.add_edge(source, target, label)
-        return clone
-
-    def subgraph(self, nodes: Iterable[Node]) -> "DirectedMultigraph":
-        """Return the induced subgraph on ``nodes`` (missing nodes ignored)."""
-        keep = {node for node in nodes if node in self._succ}
-        sub = DirectedMultigraph()
-        for node in keep:
-            sub.add_node(node)
-        for source, target, _key, label in self.edges():
-            if source in keep and target in keep:
-                sub.add_edge(source, target, label)
-        return sub
 
     def __contains__(self, node: Node) -> bool:
         return node in self._succ

@@ -13,6 +13,12 @@ The class maintains the aggregate statistics the scoring measures consume:
 * per-type-pair edge totals — random-walk edge weights ``w_ij``;
 * per-entity typed adjacency — entropy scoring and tuple materialization.
 
+Each relationship is held in one insertion-ordered edge list and in the
+typed ``_out``/``_in`` adjacency, nowhere else.  Relationships come out
+of :meth:`EntityGraph.relationships` in insertion order, so the codecs
+that replay them (the ``.rgs`` store, replica snapshots and the triple
+stream of :mod:`repro.model.triples`) rebuild the exact same graph.
+
 Whole-graph builders (dataset generators, store materialization, snapshot
 restore) run inside :meth:`EntityGraph.bulk_load`, which keeps every
 validating insert but skips the per-mutation changelog and pauses the
@@ -35,7 +41,6 @@ from ..exceptions import (
     UnknownRelationshipTypeError,
     UnknownTypeError,
 )
-from ..graph import DirectedMultigraph
 from .attributes import Direction, NonKeyAttribute
 from .ids import EntityId, RelationshipTypeId, TypeId
 from .mutation_log import MutationLog
@@ -83,7 +88,8 @@ class EntityGraph:
 
     def __init__(self, name: str = "entity-graph") -> None:
         self.name = name
-        self._graph = DirectedMultigraph()
+        # Every relationship as (source, target, rel_type), insertion order.
+        self._edges: List[Tuple[EntityId, EntityId, RelationshipTypeId]] = []
         self._types_of: Dict[EntityId, Set[TypeId]] = {}
         self._entities_by_type: Dict[TypeId, Set[EntityId]] = {}
         self._edge_counts: Counter = Counter()  # RelationshipTypeId -> count
@@ -147,7 +153,6 @@ class EntityGraph:
             raise SchemaViolationError(
                 f"entity {entity!r} must belong to at least one type"
             )
-        self._graph.add_node(entity)
         existing = self._types_of.setdefault(entity, set())
         # First-seen order is the caller's list order (deterministic
         # across processes, unlike set iteration) — the schema graph,
@@ -237,7 +242,7 @@ class EntityGraph:
         # A relationship type first seen here adds a schema-graph edge
         # (and possibly new candidate attributes): structural.
         structural = rel_type not in self._edge_counts
-        self._graph.add_edge(source, target, rel_type)
+        self._edges.append((source, target, rel_type))
         self._edge_counts[rel_type] += 1
         self._out.setdefault((source, rel_type), []).append(target)
         self._in.setdefault((target, rel_type), []).append(source)
@@ -266,12 +271,15 @@ class EntityGraph:
     @property
     def edge_count(self) -> int:
         """Number of relationship edges."""
-        return self._graph.edge_count
+        return len(self._edges)
 
     def relationships(self) -> Iterator[Tuple[EntityId, EntityId, RelationshipTypeId]]:
-        """Yield every relationship instance as ``(source, target, type)``."""
-        for source, target, _key, label in self._graph.edges():
-            yield source, target, label
+        """Yield every relationship as ``(source, target, type)``.
+
+        Relationships come in insertion order, the order the
+        :meth:`add_relationship` calls were made in.
+        """
+        return iter(self._edges)
 
     # ------------------------------------------------------------------
     # Typed adjacency (materialization + entropy scoring)

@@ -1,13 +1,13 @@
 """Adaptive execution planning for subset scoring (``repro.plan``).
 
-The subsystem that grew out of ``repro.kernel.plan``'s single static
-threshold: a :class:`CostModel` of measured per-backend timings, a
-:class:`Planner` that picks serial / sharded / batched-sweep execution
-per call site, adaptive shard sizing, and process-wide decision
-counters surfaced through ``PreviewEngine.cache_info()`` and the serve
-``stats`` op.  ``REPRO_PLAN`` (or :func:`use_mode`) forces any mode;
-all modes are bit-identical in results.  See
-``docs/execution-planner.md``.
+Decides how subset scoring runs: a :class:`CostModel` of measured
+per-backend timings, a :class:`Planner` that picks serial / sharded /
+batched-sweep execution per call site (falling back to a static dispatch
+threshold until the model is warm), adaptive shard sizing, and
+process-wide decision counters surfaced through
+``PreviewEngine.cache_info()`` and the serve ``stats`` op.
+``REPRO_PLAN`` (or :func:`use_mode`) forces any mode; all modes are
+bit-identical in results.  See ``docs/execution-planner.md``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
+from repro.exceptions import NodeNotFoundError
 from repro.graph import DirectedMultigraph
 
 
@@ -31,87 +31,26 @@ class TestNodes:
         assert "zzz" not in graph
         assert len(graph) == 3
 
-    def test_remove_node_removes_incident_edges(self, graph):
-        graph.remove_node("b")
-        assert graph.edge_count == 1  # only c -> a survives
-        assert not graph.has_edge("a", "b")
-
-    def test_remove_missing_node_raises(self, graph):
-        with pytest.raises(NodeNotFoundError):
-            graph.remove_node("nope")
-
-    def test_remove_node_with_self_loop(self):
-        g = DirectedMultigraph()
-        g.add_edge("a", "a", "loop")
-        g.add_edge("a", "b")
-        g.remove_node("a")
-        assert g.edge_count == 0
-        assert g.node_count == 1
-
 
 class TestEdges:
     def test_parallel_edges_counted(self, graph):
         assert graph.edge_count == 4
-        assert len(graph.edges_between("a", "b")) == 2
+        between = [label for s, t, _, label in graph.edges() if (s, t) == ("a", "b")]
+        assert between == ["x", "y"]
 
     def test_edge_keys_unique(self, graph):
         keys = [key for _, _, key, _ in graph.edges()]
         assert len(keys) == len(set(keys))
 
-    def test_remove_edge_by_key(self, graph):
-        (key, _label), _ = graph.edges_between("a", "b")
-        graph.remove_edge("a", "b", key)
-        assert graph.edge_count == 3
-        assert len(graph.edges_between("a", "b")) == 1
-
-    def test_remove_missing_edge_raises(self, graph):
-        with pytest.raises(EdgeNotFoundError):
-            graph.remove_edge("a", "c", 0)
-
     def test_labels_preserved(self, graph):
         labels = {label for _, _, _, label in graph.edges()}
         assert labels == {"x", "y", "z", "w"}
 
-    def test_edges_between_missing_node_raises(self, graph):
-        with pytest.raises(NodeNotFoundError):
-            graph.edges_between("nope", "a")
-
 
 class TestAdjacency:
-    def test_successors_predecessors(self, graph):
-        assert set(graph.successors("a")) == {"b"}
-        assert set(graph.predecessors("a")) == {"c"}
-
     def test_neighbors_undirected(self, graph):
         assert set(graph.neighbors("a")) == {"b", "c"}
 
-    def test_degrees(self, graph):
-        assert graph.out_degree("a") == 2  # two parallel edges
-        assert graph.in_degree("a") == 1
-        assert graph.degree("a") == 3
-
-    def test_out_edges_yields_labels(self, graph):
-        labels = {label for _, _, label in graph.out_edges("a")}
-        assert labels == {"x", "y"}
-
     def test_adjacency_missing_node_raises(self, graph):
         with pytest.raises(NodeNotFoundError):
-            list(graph.successors("nope"))
-
-
-class TestCopySubgraph:
-    def test_copy_is_independent(self, graph):
-        clone = graph.copy()
-        clone.add_edge("a", "c")
-        assert graph.edge_count == 4
-        assert clone.edge_count == 5
-
-    def test_subgraph_induced(self, graph):
-        sub = graph.subgraph(["a", "b"])
-        assert sub.node_count == 2
-        assert sub.edge_count == 2  # both parallel a->b edges
-
-    def test_subgraph_ignores_missing(self, graph):
-        sub = graph.subgraph(["a", "ghost"])
-        assert sub.node_count == 1
-        assert sub.edge_count == 0
+            list(graph.neighbors("nope"))
