@@ -150,7 +150,7 @@ def run_benchmark():
         "jobs": JOBS,
         "cpus": cpus,
         "kernel_backend": kernel.backend_name(),
-        "dispatch_threshold": kernel.dispatch_threshold(),
+        "dispatch_threshold": plan.dispatch_threshold(),
         "vetoed_single_core": vetoed,
         "speedup_floor": SPEEDUP_FLOOR,
         "speedup_met": all(leg["speedup"] >= SPEEDUP_FLOOR for leg in legs),

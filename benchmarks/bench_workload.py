@@ -95,7 +95,7 @@ def run_benchmark():
         "scenario": trace.scenario,
         "jobs": JOBS,
         "kernel_backend": kernel.backend_name(),
-        "dispatch_threshold": kernel.dispatch_threshold(),
+        "dispatch_threshold": plan.dispatch_threshold(),
         "plan_mode": plan.plan_mode(),
         "plan_decisions": plan_decisions,
         "paths": paths,

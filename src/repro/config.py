@@ -82,12 +82,7 @@ RESULTS_DIR = _declare(
 PLAN = _declare(
     "REPRO_PLAN",
     "auto",
-    "execution planner mode: auto | serial | sharded | static",
-)
-PLAN_WINDOW = _declare(
-    "REPRO_PLAN_WINDOW",
-    None,  # the cost model owns the numeric default (64)
-    "cost-model ring-buffer capacity per (signal, backend) series",
+    "execution planner mode: auto | serial | sharded",
 )
 REPLICATION_WINDOW = _declare(
     "REPRO_REPLICATION_WINDOW",
@@ -153,29 +148,6 @@ def test_jobs() -> int:
 def results_dir_override() -> Optional[str]:
     """The results-directory override, or ``None`` to use the default."""
     return raw_knob(RESULTS_DIR.name)
-
-
-def plan_window() -> int:
-    """Cost-model ring-buffer capacity (default 64, minimum 4).
-
-    Raises
-    ------
-    ConfigError
-        When ``REPRO_PLAN_WINDOW`` is set but not an integer >= 4 (the
-        least-squares fit needs that many points to identify a slope).
-    """
-    raw = raw_knob(PLAN_WINDOW.name)
-    if raw is None:
-        return 64
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{PLAN_WINDOW.name} must be an integer, got {raw!r}"
-        ) from None
-    if value < 4:
-        raise ConfigError(f"{PLAN_WINDOW.name} must be >= 4, got {value}")
-    return value
 
 
 def replication_window() -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from .. import kernel
+from .. import kernel, plan
 from ..scoring.preview_score import ScoringContext
 from .candidates import (
     best_preview_for_keys,
@@ -73,11 +73,11 @@ def brute_force_discover(
 
         # C(K, k) bounds the qualifying count before anything is
         # materialized: small key pools skip the worker pool outright.
-        estimate = kernel.estimated_subsets(len(key_pool), size.k)
+        estimate = plan.estimated_subsets(len(key_pool), size.k)
         effective_jobs = (
             executor.jobs if executor is not None else resolve_jobs(jobs)
         )
-        if kernel.should_shard(estimate, effective_jobs):
+        if plan.should_shard(estimate, effective_jobs):
             qualifying = list(qualifying)
             if len(qualifying) > 1:
                 return sharded_discover(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Sequence, Tuple
 
-from .. import kernel
+from .. import kernel, plan
 from ..exceptions import UnknownTypeError
 from ..model.ids import TypeId
 from ..scoring.candidate_pool import CandidatePool
@@ -263,7 +263,7 @@ def sharded_discover(
         from ..parallel import resolve_jobs
 
         effective_jobs = resolve_jobs(jobs)
-    if not kernel.should_shard(len(subsets), effective_jobs):
+    if not plan.should_shard(len(subsets), effective_jobs):
         return batched_discover(context, size, subsets, algorithm)
     allocation = sharded_best_preview(
         context, size, subsets, jobs, executor=executor

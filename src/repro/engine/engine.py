@@ -247,9 +247,9 @@ class PreviewEngine:
         batched kernel dispatches (and subsets they scored) made on
         behalf of this engine.  ``plan_mode`` names the effective
         execution-planner mode and ``plan_decisions`` breaks down the
-        planner decisions (serial/sharded/batched-sweep; model-warm vs
-        fallback) attributed to this engine's queries and sweep
-        prewarms (see :mod:`repro.plan`).
+        planner decisions (serial/sharded, and single-core vetoes)
+        attributed to this engine's queries and sweep prewarms (see
+        :mod:`repro.plan`).
         """
         self._sync_generation()
         return {
@@ -489,12 +489,9 @@ class PreviewEngine:
         point.  Queries that are malformed or won't take the Apriori
         fast path are skipped — they fail or dispatch normally later.
 
-        With a parallel executor, the *whole batch* of pending builds
-        is planned at once (:func:`repro.plan.plan_sweep`): groups big
-        enough for their own sharded dispatch get one, and — under the
-        ``auto`` planner — groups individually too small are batched
-        into one combined worker dispatch instead of each running
-        serially, amortizing the snapshot shipping across sweep points.
+        With a parallel executor, each group is planned on its own
+        (:func:`repro.plan.should_shard`): groups big enough for a
+        sharded dispatch get one, the rest build inline.
         """
         from ..exceptions import DiscoveryError
 
@@ -515,65 +512,11 @@ class PreviewEngine:
             known = widest.get(group_key)
             if known is None or size.n > known[0].n:
                 widest[group_key] = (size, distance)
-        if executor is None or executor.jobs <= 1:
-            for size, distance in widest.values():
-                self._apriori_profiles(
-                    self.context, size, distance, executor=executor
-                )
-            return
         plan_before = plan.decision_counts()
-        context = self.context
-        # Collect the groups that actually need a (re)build, with the
-        # same cap semantics as _apriori_profiles: capped on the first
-        # build, exhaustive on a rebuild for a wider budget.
-        pending: List[Tuple[Tuple, List[Tuple[TypeId, ...]], Optional[int]]] = []
         for size, distance in widest.values():
-            group_key, subsets = self._group_subsets(context, size, distance)
-            extra_cap = size.n - size.k
-            profiles = self._patch_stale_profiles(context, group_key, subsets)
-            if profiles is not None and all(
-                profile is None or profile.covers(extra_cap)
-                for profile in profiles
-            ):
-                continue
-            if not subsets:
-                self._profiles[group_key] = []
-                continue
-            cap = extra_cap if profiles is None else None
-            pending.append((group_key, subsets, cap))
-        if not pending:
-            self._accumulate_plan_decisions(plan_before)
-            return
-        sweep_plan = plan.plan_sweep(
-            [len(subsets) for _, subsets, _ in pending], executor.jobs
-        )
-        pool = context.candidate_pool()
-        for at in sweep_plan.sharded:
-            group_key, subsets, cap = pending[at]
-            snapshot = self._current_snapshot(pool)
-            self._profiles[group_key] = self._rehydrate_profiles(
-                pool, subsets, executor.build_profiles(snapshot, subsets, cap)
+            self._apriori_profiles(
+                self.context, size, distance, executor=executor
             )
-        if sweep_plan.batched:
-            snapshot = self._current_snapshot(pool)
-            grouped = executor.build_profile_groups(
-                snapshot,
-                [
-                    (pending[at][1], pending[at][2])
-                    for at in sweep_plan.batched
-                ],
-            )
-            for at, payloads in zip(sweep_plan.batched, grouped):
-                group_key, subsets, _cap = pending[at]
-                self._profiles[group_key] = self._rehydrate_profiles(
-                    pool, subsets, payloads
-                )
-        for at in sweep_plan.serial:
-            group_key, subsets, cap = pending[at]
-            self._profiles[group_key] = [
-                build_allocation_profile(pool, keys, cap=cap)
-                for keys in subsets
-            ]
         self._accumulate_plan_decisions(plan_before)
 
     def _rehydrate_profiles(
@@ -738,7 +681,7 @@ class PreviewEngine:
             return profiles
         pool = context.candidate_pool()
         cap = extra_cap if profiles is None else None  # 2nd build: exhaustive
-        if executor is not None and kernel.should_shard(
+        if executor is not None and plan.should_shard(
             len(subsets), executor.jobs
         ):
             snapshot = self._current_snapshot(pool)
@@ -884,7 +827,7 @@ class PreviewEngine:
                 candidates_examined=len(profiles),
             )
         pool = context.candidate_pool()
-        if executor is not None and kernel.should_shard(
+        if executor is not None and plan.should_shard(
             len(subsets), executor.jobs
         ):
             snapshot = self._current_snapshot(pool)

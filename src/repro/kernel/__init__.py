@@ -24,7 +24,6 @@ lowest-index tie-break — see ``docs/scoring-kernel.md``.
 from __future__ import annotations
 
 import importlib.util
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
@@ -40,18 +39,10 @@ from .base import (
     record_batch,
     reset_kernel_stats,
 )
-from ..plan import (
-    DEFAULT_DISPATCH_THRESHOLD,
-    dispatch_threshold,
-    estimated_subsets,
-    observe_serial,
-    should_shard,
-)
 from .pure import PythonBackend
 
 __all__ = [
     "BATCH_SIZE",
-    "DEFAULT_DISPATCH_THRESHOLD",
     "ENV_BACKEND",
     "KernelBackend",
     "OracleBackend",
@@ -60,14 +51,11 @@ __all__ = [
     "available_backends",
     "backend_name",
     "best_allocation",
-    "dispatch_threshold",
-    "estimated_subsets",
     "get_backend",
     "kernel_stats",
     "record_batch",
     "reset_kernel_stats",
     "set_backend",
-    "should_shard",
     "use_backend",
 ]
 
@@ -171,9 +159,4 @@ def best_allocation(source, subsets: Subsets, extra_cap: int) -> BestAllocation:
         return None
     backend = active_backend()
     record_batch(len(subsets))
-    start = time.perf_counter()
-    result = backend.best_allocation(
-        backend.lower(source), subsets, extra_cap
-    )
-    observe_serial(backend.name, len(subsets), time.perf_counter() - start)
-    return result
+    return backend.best_allocation(backend.lower(source), subsets, extra_cap)

@@ -84,19 +84,6 @@ def reset_kernel_stats() -> None:
         _SUBSETS = 0
 
 
-def observe_lowering(backend: str, rows: int, seconds: float) -> None:
-    """Forward one columnar-lowering timing to the execution planner.
-
-    Backends call this from ``lower()`` with the number of weighted
-    rows lowered; the planner's cost model treats lowering as the
-    serial path's per-call setup term (see :mod:`repro.plan`).  The
-    import is call-time so backend modules stay loadable standalone.
-    """
-    from .. import plan
-
-    plan.observe_lowering(backend, rows, seconds)
-
-
 def resolve_indices(index: Dict[TypeId, int], keys: Sequence[TypeId]) -> List[int]:
     """Map a key subset to pool row indices; unknown keys raise."""
     try:

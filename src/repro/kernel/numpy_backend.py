@@ -23,14 +23,13 @@ for bit.  Gather temporaries are bounded by processing
 
 from __future__ import annotations
 
-import time
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import UnknownTypeError
-from .base import BATCH_SIZE, KernelBackend, observe_lowering
+from .base import BATCH_SIZE, KernelBackend
 
 
 class NumpyColumns:
@@ -77,12 +76,7 @@ class NumpyBackend(KernelBackend):
 
     def lower(self, source) -> NumpyColumns:
         """Lower source columns to padded numpy rectangles."""
-        start = time.perf_counter()
-        columns = NumpyColumns(source.index, source.weighted)
-        observe_lowering(
-            self.name, len(source.weighted), time.perf_counter() - start
-        )
-        return columns
+        return NumpyColumns(source.index, source.weighted)
 
     # ------------------------------------------------------------------
     # Scoring

@@ -20,8 +20,6 @@ parallel call, so serial users never pay for (or depend on) it.
 
 from __future__ import annotations
 
-import os
-import time
 from typing import List, Optional, Sequence, Tuple
 
 from .. import kernel, plan
@@ -34,10 +32,6 @@ from .snapshot import ScoringSnapshot
 #: or None for an infeasible subset (some key with an empty Γτ).
 ProfilePayload = Optional[Tuple[List[Tuple[int, int]], List[float], Optional[int]]]
 
-#: One sweep-prewarm profile group: (subsets, cap).  Groups keep their
-#: own caps because different sweep points trim profiles differently.
-ProfileGroup = Tuple[Sequence[Tuple[TypeId, ...]], Optional[int]]
-
 
 def resolve_jobs(jobs: int) -> int:
     """Normalize a user-facing ``jobs`` value (0 = all CPU cores).
@@ -48,36 +42,28 @@ def resolve_jobs(jobs: int) -> int:
     if jobs < 0:
         raise DiscoveryError(f"jobs must be non-negative, got {jobs}")
     if jobs == 0:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            return os.cpu_count() or 1
+        return plan.usable_cpus()
     return jobs
 
 
-def _score_shard(payload) -> Tuple[Optional[Tuple[float, int]], float]:
-    """``(best, seconds)`` for one shard; ``best`` may be None.
+def _score_shard(payload) -> Optional[Tuple[float, int]]:
+    """The shard's winning ``(score, global_subset_index)``, or None.
 
-    ``best`` is the shard's winning ``(score, global_subset_index)``.
     The whole shard is one batched kernel call over the snapshot's
     columns — the backend name travels in the payload, so workers run
     the parent's backend under both ``fork`` and ``spawn``.  The kernel
     keeps the lowest-index subset among equal scores (and treats
     duplicate keys as infeasible), the same rules the serial discovery
-    loops apply.  ``seconds`` is the worker-side compute time, shipped
-    back so the parent's cost model learns the per-shard rate the
-    adaptive shard sizing needs.
+    loops apply.
     """
     snapshot, start, subsets, extra_cap, backend_name = payload
     backend = kernel.get_backend(backend_name)
-    began = time.perf_counter()
     best = backend.best_allocation(
         backend.lower(snapshot), subsets, extra_cap
     )
-    elapsed = time.perf_counter() - began
     if best is None:
-        return None, elapsed
-    return (best[0], start + best[1]), elapsed
+        return None
+    return best[0], start + best[1]
 
 
 def _profile_shard(payload) -> List[ProfilePayload]:
@@ -90,29 +76,6 @@ def _profile_shard(payload) -> List[ProfilePayload]:
             results.append(None)
         else:
             results.append((profile.picks, profile.cum, profile.cap))
-    return results
-
-
-def _profile_groups_shard(payload) -> List[Tuple[int, List[ProfilePayload]]]:
-    """Profile payloads for a *bin* of whole sweep groups.
-
-    The payload carries ``(snapshot, [(group_index, subsets, cap), ...])``
-    — several small sweep points batched into one worker task.  Groups
-    are never split across bins, so each keeps its own cap and its
-    payloads stay positionally aligned; the group index travels with
-    the results for reassembly in the parent.
-    """
-    snapshot, groups = payload
-    results: List[Tuple[int, List[ProfilePayload]]] = []
-    for group_index, subsets, cap in groups:
-        payloads: List[ProfilePayload] = []
-        for keys in subsets:
-            profile = build_allocation_profile(snapshot, keys, cap=cap)
-            if profile is None:
-                payloads.append(None)
-            else:
-                payloads.append((profile.picks, profile.cum, profile.cap))
-        results.append((group_index, payloads))
     return results
 
 
@@ -198,9 +161,6 @@ class ShardedExecutor:
         backend_name = kernel.backend_name()
         payloads = []
         start = 0
-        # Shard sizes come from the planner: min(jobs, n) equal chunks
-        # under static/forced modes, the adaptive oversubscribed layout
-        # under auto (see repro.plan.Planner.shard_layout).
         for size in plan.shard_layout(len(subsets), self.jobs):
             payloads.append(
                 (
@@ -240,28 +200,14 @@ class ShardedExecutor:
         # invisible here, and the inline jobs=1 path must not double
         # count (backends themselves never record).
         kernel.record_batch(len(subsets))
-        payloads = self._payloads(snapshot, subsets, extra_cap)
-        pooled = self.jobs > 1 and len(payloads) > 1
-        backend_name = kernel.backend_name()
-        if pooled:
-            plan.observe_snapshot_cost(snapshot)
-        began = time.perf_counter()
-        shard_results = self._map(_score_shard, payloads)
-        elapsed = time.perf_counter() - began
         best: Optional[Tuple[float, int]] = None
-        for shard_best, _seconds in shard_results:
+        for shard_best in self._map(
+            _score_shard, self._payloads(snapshot, subsets, extra_cap)
+        ):
             if shard_best is None:
                 continue
             if best is None or shard_best[0] > best[0]:
                 best = shard_best
-        if pooled:
-            for payload, (_, shard_seconds) in zip(payloads, shard_results):
-                plan.observe_shard(backend_name, len(payload[2]), shard_seconds)
-            plan.observe_sharded(
-                backend_name, len(subsets), elapsed, len(payloads)
-            )
-        else:
-            plan.observe_serial(backend_name, len(subsets), elapsed)
         return best
 
     def build_profiles(
@@ -273,70 +219,9 @@ class ShardedExecutor:
         """Per-subset allocation-profile payloads, positionally aligned."""
         if not subsets:
             return []
-        payloads = self._payloads(snapshot, subsets, cap)
-        pooled = self.jobs > 1 and len(payloads) > 1
-        if pooled:
-            plan.observe_snapshot_cost(snapshot)
-        began = time.perf_counter()
         results: List[ProfilePayload] = []
-        for shard in self._map(_profile_shard, payloads):
+        for shard in self._map(
+            _profile_shard, self._payloads(snapshot, subsets, cap)
+        ):
             results.extend(shard)
-        elapsed = time.perf_counter() - began
-        # Profile builds learn under their own signals: their per-subset
-        # rate (full pick sequences) differs from batched scoring, and
-        # mixing the two would corrupt both fits.
-        signal = "profile_sharded" if pooled else "profile_serial"
-        plan.get_planner().observe(
-            signal, kernel.backend_name(), len(subsets), elapsed
-        )
-        return results
-
-    def build_profile_groups(
-        self,
-        snapshot: ScoringSnapshot,
-        groups: Sequence[ProfileGroup],
-    ) -> List[List[ProfilePayload]]:
-        """Profile payloads for several sweep groups in ONE dispatch.
-
-        The sweep-point batching op: each group is a (subsets, cap)
-        pair too small to justify its own pool dispatch, but together
-        they amortize the snapshot shipping.  Whole groups are greedily
-        bin-packed (largest first, into the lightest bin) across at
-        most ``jobs`` worker tasks and dispatched in a single pool map;
-        results come back positionally aligned with ``groups``.
-
-        Group membership only moves work between processes — every
-        profile is built by the same serial
-        :func:`~repro.core.candidates.build_allocation_profile` call —
-        so batching cannot change results.
-        """
-        if not groups:
-            return []
-        bins: List[List[Tuple[int, Sequence[Tuple[TypeId, ...]], Optional[int]]]] = [
-            [] for _ in range(min(self.jobs, len(groups)))
-        ]
-        loads = [0] * len(bins)
-        order = sorted(
-            range(len(groups)), key=lambda i: len(groups[i][0]), reverse=True
-        )
-        for group_index in order:
-            subsets, cap = groups[group_index]
-            lightest = loads.index(min(loads))
-            bins[lightest].append((group_index, list(subsets), cap))
-            loads[lightest] += len(subsets)
-        payloads = [(snapshot, bin_groups) for bin_groups in bins if bin_groups]
-        pooled = self.jobs > 1 and len(payloads) > 1
-        if pooled:
-            plan.observe_snapshot_cost(snapshot)
-        began = time.perf_counter()
-        results: List[Optional[List[ProfilePayload]]] = [None] * len(groups)
-        for bin_result in self._map(_profile_groups_shard, payloads):
-            for group_index, group_payloads in bin_result:
-                results[group_index] = group_payloads
-        elapsed = time.perf_counter() - began
-        total = sum(len(subsets) for subsets, _ in groups)
-        signal = "profile_sharded" if pooled else "profile_serial"
-        plan.get_planner().observe(
-            signal, kernel.backend_name(), total, elapsed
-        )
         return results

@@ -119,10 +119,7 @@ class MappedScoringSnapshot:
     Pickling (``__reduce__``) ships only ``(path, index, row lengths)``
     — a few hundred bytes however large the score arrays are — and the
     worker re-maps the same file, sharing the parent's page cache
-    instead of receiving a copy over the pipe.  The planner's
-    snapshot-cost probe (:meth:`~repro.plan.planner.Planner.observe_snapshot_cost`)
-    pickles whatever snapshot it is handed, so it observes this
-    near-zero shipping cost automatically.
+    instead of receiving a copy over the pipe.
 
     The creating process owns the scratch file and unlinks it when the
     snapshot is garbage-collected (or :meth:`close` is called); workers
@@ -215,8 +212,7 @@ class MappedScoringSnapshot:
 
         Same-shape dirty rows are patched *in place* in the mapped file
         (dispatches are synchronous, so no worker is mid-read), keeping
-        the object identity — and therefore the planner's one-time cost
-        measurement — stable across mutations.  A changed type universe
+        the object identity stable across mutations.  A changed type universe
         or a row that changed length rebuilds from scratch via
         :func:`make_snapshot`.
         """

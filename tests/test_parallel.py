@@ -150,15 +150,13 @@ class TestShardBoundaries:
         assert executor.best_allocation(snapshot, [], 1) is None
         assert executor.build_profiles(snapshot, [], cap=1) == []
 
-    @pytest.mark.parametrize("mode", ["static", "auto"])
+    @pytest.mark.parametrize("mode", plan.PLAN_MODES)
     @pytest.mark.parametrize("subset_count", [1, 2, 3, 5, 9])
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_no_shard_is_ever_empty(self, subset_count, jobs, mode):
         """Every shard carries >= 1 subset and they tile the input.
 
-        Static mode keeps the PR 6 tiling (min(jobs, n) shards); auto
-        may oversubscribe up to 2x jobs, but never past the subset
-        count and never with an empty shard.
+        Every mode cuts the same layout: min(jobs, n) shards.
         """
         snapshot = ScoringSnapshot(index={"A": 0}, weighted=((1.0,),))
         subsets = [(f"T{i}",) for i in range(subset_count)]
@@ -166,11 +164,7 @@ class TestShardBoundaries:
             payloads = ShardedExecutor(jobs)._payloads(
                 snapshot, subsets, cap=1
             )
-        floor = min(jobs, subset_count)
-        ceiling = (
-            floor if mode == "static" else min(2 * jobs, subset_count)
-        )
-        assert floor <= len(payloads) <= ceiling
+        assert len(payloads) == min(jobs, subset_count)
         rebuilt = []
         expected_start = 0
         for _, start, shard, _, _backend in payloads:

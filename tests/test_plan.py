@@ -1,15 +1,11 @@
-"""The execution planner: every mode bit-identical, every fit earned.
+"""The execution planner: one static rule, every mode bit-identical.
 
-Three layers, mirroring the planner's own contract:
+Two layers, mirroring the planner's own contract:
 
-* **CostModel units** — cold-start refusal (no fit before
-  ``MIN_SAMPLES`` diverse observations), calibration convergence on
-  synthetic linear workloads, and ring-buffer eviction (a regime change
-  overwrites stale timings instead of averaging against them forever).
-* **Planner units** — mode forcing and validation, the single-core
-  affinity veto, warm-model serial/sharded verdicts, adaptive shard
-  layout, sweep-point batching, the process-wide caches and their reset
-  hooks, and once-per-identity snapshot costing.
+* **Rule units** — mode forcing and validation, the threshold rule and
+  its single-core affinity veto, the ``min(jobs, n)`` shard layout,
+  the process-wide caches and decision counters, and the guarantee
+  that execution history never moves a verdict.
 * **The hypothesis property** — for random schema pools, query points
   and *any* ``REPRO_PLAN`` forcing, planner-chosen execution is
   bit-identical to the serial oracle (``float.hex`` scores + winning
@@ -18,23 +14,19 @@ Three layers, mirroring the planner's own contract:
   move wall time, never answers.
 """
 
+import itertools
 import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import config, plan
+from repro import config, kernel, plan
 from repro.core import make_context
 from repro.datasets import random_schema_graph
 from repro.engine import PreviewEngine, PreviewQuery
-from repro.exceptions import (
-    ConfigError,
-    InfeasiblePreviewError,
-    KernelError,
-    PlanError,
-)
-from repro.plan import MIN_SAMPLES, CostModel, LinearFit, Planner
+from repro.exceptions import InfeasiblePreviewError, KernelError, PlanError
+from repro.parallel import ShardedExecutor, make_snapshot
 from repro.scoring import ScoringContext
 
 #: Worker count for the equivalence properties (the CI planner leg also
@@ -60,307 +52,109 @@ def context_for(params) -> ScoringContext:
     return ScoringContext(schema)
 
 
-# ----------------------------------------------------------------------
-# CostModel
-# ----------------------------------------------------------------------
-class TestCostModel:
-    def test_cold_start_refuses_to_predict(self):
-        model = CostModel(window=8)
-        assert model.fit("serial", "python") is None
-        assert model.predict("serial", "python", 100) is None
-        assert not model.warm("python")
-        # MIN_SAMPLES - 1 diverse points: still cold.
-        for n in range(1, MIN_SAMPLES):
-            model.observe("serial", "python", n * 100, n * 0.01)
-        assert model.fit("serial", "python") is None
-
-    def test_single_batch_size_cannot_identify_a_slope(self):
-        """MIN_SAMPLES observations all at one size: slope unidentified."""
-        model = CostModel(window=8)
-        for _ in range(MIN_SAMPLES + 2):
-            model.observe("serial", "python", 500, 0.01)
-        assert model.fit("serial", "python") is None
-        assert model.predict("serial", "python", 500) is None
-
-    def test_calibration_converges_on_linear_workload(self):
-        """Exact linear timings are recovered coefficient-for-coefficient."""
-        model = CostModel(window=16)
-        setup, rate = 0.002, 5e-6
-        for n in (100, 200, 400, 800, 1600):
-            model.observe("serial", "python", n, setup + rate * n)
-        fitted = model.fit("serial", "python")
-        assert fitted is not None
-        assert fitted.setup == pytest.approx(setup, rel=1e-9)
-        assert fitted.rate == pytest.approx(rate, rel=1e-9)
-        assert fitted.samples == 5
-        assert model.predict("serial", "python", 10_000) == pytest.approx(
-            setup + rate * 10_000, rel=1e-9
-        )
-
-    def test_warm_needs_both_strategy_fits(self):
-        model = CostModel(window=8)
-        for n in (100, 200, 300, 400):
-            model.observe("serial", "python", n, 1e-5 * n)
-        assert not model.warm("python")  # sharded line still missing
-        for n in (100, 200, 300, 400):
-            model.observe("sharded", "python", n, 0.05 + 1e-6 * n)
-        assert model.warm("python")
-        assert not model.warm("numpy")  # warmth is per backend
-
-    def test_ring_buffer_evicts_the_old_regime(self):
-        """After a load change, ``window`` new points own the fit."""
-        window = MIN_SAMPLES
-        model = CostModel(window=window)
-        for n in (100, 200, 300, 400):  # old regime: 1 us/subset
-            model.observe("serial", "python", n, 1e-6 * n)
-        for n in (100, 200, 300, 400):  # new regime: 1 ms/subset
-            model.observe("serial", "python", n, 1e-3 * n)
-        counts = model.observation_counts()
-        assert counts["serial/python"] == window  # old points evicted
-        fitted = model.fit("serial", "python")
-        assert fitted.rate == pytest.approx(1e-3, rel=1e-9)
-
-    def test_degenerate_observations_are_ignored(self):
-        model = CostModel(window=8)
-        model.observe("serial", "python", 0, 1.0)  # no subsets
-        model.observe("serial", "python", -5, 1.0)  # negative count
-        model.observe("serial", "python", 10, -0.1)  # negative seconds
-        assert model.observation_counts() == {}
-        model.observe_snapshot(0, 1.0)
-        model.observe_snapshot(100, -1.0)
-        assert model.snapshot_stats()["samples"] == 0
-
-    def test_window_floor_is_enforced(self):
-        with pytest.raises(ValueError, match=f">= {MIN_SAMPLES}"):
-            CostModel(window=MIN_SAMPLES - 1)
-
-    def test_linear_fit_clamps_noise_negative_coefficients(self):
-        fitted = LinearFit(setup=-0.5, rate=-1e-6, samples=4)
-        assert fitted.setup == 0.0
-        assert fitted.rate == 0.0
-        assert fitted.predict(10_000) == 0.0
-
-    def test_reset_forgets_everything(self):
-        model = CostModel(window=8)
-        for n in (100, 200, 300, 400):
-            model.observe("serial", "python", n, 1e-5 * n)
-        model.observe_snapshot(1024, 0.001)
-        model.reset()
-        assert model.observation_counts() == {}
-        assert model.fit("serial", "python") is None
-        assert model.snapshot_stats()["samples"] == 0
-
-
-# ----------------------------------------------------------------------
-# Planner decisions
-# ----------------------------------------------------------------------
-def warm_planner(
-    serial_rate=1e-5, sharded_setup=0.05, sharded_rate=1e-6
-) -> Planner:
-    """A planner whose python-backend cost lines are fitted and warm.
-
-    With the defaults the strategies cross near 5.5k subsets: below
-    that, serial wins (sharded pays its 50 ms setup for nothing); far
-    above, sharded's 10x better rate wins.
-    """
-    planner = Planner(model=CostModel(window=16))
-    for n in (1_000, 2_000, 4_000, 8_000):
-        planner.observe("serial", "python", n, serial_rate * n)
-        planner.observe(
-            "sharded", "python", n, sharded_setup + sharded_rate * n
-        )
-    return planner
+def counted(before):
+    """Decision-counter deltas since ``before`` (counters are process-wide)."""
+    return {
+        key: value - before[key]
+        for key, value in plan.decision_counts().items()
+    }
 
 
 @pytest.fixture
 def many_cores(monkeypatch):
     """Pretend this box has 8 usable cores (defeats the affinity veto)."""
-    monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 8)
-    monkeypatch.setattr(plan.planner, "_active_backend_name", lambda: "python")
+    monkeypatch.setattr(plan, "usable_cpus", lambda: 8)
 
 
+# ----------------------------------------------------------------------
+# Planner decisions
+# ----------------------------------------------------------------------
 class TestPlannerDecisions:
     def test_serial_mode_never_shards(self, many_cores):
-        planner = warm_planner()
+        before = plan.decision_counts()
         with plan.use_mode("serial"):
-            assert not planner.should_shard(10**6, jobs=8)
-        assert planner.decision_counts()["serial"] == 1
-        assert planner.decision_counts()["sharded"] == 0
+            assert not plan.should_shard(10**6, jobs=8)
+        assert counted(before) == {
+            "serial": 1,
+            "sharded": 0,
+            "vetoed_single_core": 0,
+        }
 
     def test_sharded_mode_forces_even_past_the_veto(self, monkeypatch):
         """Forced sharding is a bisection tool: it bypasses the veto."""
-        monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 1)
-        planner = Planner(model=CostModel(window=8))
+        monkeypatch.setattr(plan, "usable_cpus", lambda: 1)
+        before = plan.decision_counts()
         with plan.use_mode("sharded"):
-            assert planner.should_shard(2, jobs=2)
-            assert not planner.should_shard(1, jobs=2)  # nothing to split
-            assert not planner.should_shard(100, jobs=1)  # no workers
-        counts = planner.decision_counts()
+            assert plan.should_shard(2, jobs=2)
+            assert not plan.should_shard(1, jobs=2)  # nothing to split
+            assert not plan.should_shard(100, jobs=1)  # no workers
+        counts = counted(before)
         assert counts["sharded"] == 1 and counts["serial"] == 2
+        assert counts["vetoed_single_core"] == 0
 
-    def test_static_mode_is_the_threshold_rule(self, many_cores, monkeypatch):
+    def test_auto_mode_is_the_threshold_rule(self, many_cores, monkeypatch):
         monkeypatch.setenv(plan.ENV_THRESHOLD, "100")
-        plan.reset_plan_caches()
-        planner = warm_planner()  # a warm model must not matter here
-        with plan.use_mode("static"):
-            assert planner.should_shard(100, jobs=4)
-            assert not planner.should_shard(99, jobs=4)
-        counts = planner.decision_counts()
-        assert counts["model_warm"] == 0 and counts["fallback"] == 0
+        before = plan.decision_counts()
+        with plan.use_mode("auto"):
+            assert plan.should_shard(100, jobs=4)
+            assert not plan.should_shard(99, jobs=4)
+            assert not plan.should_shard(10**6, jobs=1)  # no workers
+            assert not plan.should_shard(1, jobs=4)  # nothing to split
+        counts = counted(before)
+        assert counts["sharded"] == 1 and counts["serial"] == 3
 
-    def test_auto_falls_back_to_threshold_while_cold(
+    def test_auto_verdict_ignores_execution_history(
         self, many_cores, monkeypatch
     ):
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "1000")
-        plan.reset_plan_caches()
-        planner = Planner(model=CostModel(window=8))  # cold
-        with plan.use_mode("auto"):
-            assert planner.should_shard(1000, jobs=4)
-            assert not planner.should_shard(999, jobs=4)
-        assert planner.decision_counts()["fallback"] == 2
-        assert planner.decision_counts()["model_warm"] == 0
+        """Past dispatch timings never move a verdict off the rule.
 
-    def test_auto_trusts_the_warm_model_over_the_threshold(
-        self, many_cores, monkeypatch
-    ):
-        """Warm verdicts ignore the static threshold entirely."""
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "10")  # would always shard
-        plan.reset_plan_caches()
-        planner = warm_planner()  # crossover near 5.5k subsets
+        Serial and pooled dispatches of a few dozen subsets — where the
+        pool always loses to the inline kernel — are exactly the history
+        a timing-driven planner would learn "never shard" from.  The
+        verdict must stay the threshold rule regardless.
+        """
+        monkeypatch.setenv(plan.ENV_THRESHOLD, "10")
+        context = context_for((8, 12, 7))
+        pool = context.candidate_pool()
+        subsets = list(itertools.combinations(sorted(pool.index), 2))
+        snapshot = make_snapshot(pool)
+        with ShardedExecutor(2) as executor:
+            for n in (2, 4, 8, 16, len(subsets)):
+                for _ in range(2):
+                    kernel.best_allocation(pool, subsets[:n], 2)
+                    executor.best_allocation(snapshot, subsets[:n], 2)
         with plan.use_mode("auto"):
-            assert not planner.should_shard(100, jobs=4)  # 1 ms vs 50 ms
-            assert planner.should_shard(100_000, jobs=4)  # 1 s vs 0.15 s
-        counts = planner.decision_counts()
-        assert counts["model_warm"] == 2 and counts["fallback"] == 0
+            for n in (9, 10, 100, 10_000):
+                assert plan.should_shard(n, jobs=4) == (n >= 10), n
 
     def test_auto_single_core_veto(self, monkeypatch):
-        monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 1)
-        planner = warm_planner()
+        monkeypatch.setattr(plan, "usable_cpus", lambda: 1)
+        before = plan.decision_counts()
         with plan.use_mode("auto"):
-            assert not planner.should_shard(10**6, jobs=8)
-        counts = planner.decision_counts()
+            assert not plan.should_shard(10**6, jobs=8)
+        counts = counted(before)
         assert counts["vetoed_single_core"] == 1
         assert counts["serial"] == 1
 
     def test_reset_stats_zeroes_counters(self, many_cores):
-        planner = warm_planner()
         with plan.use_mode("serial"):
-            planner.should_shard(10, jobs=2)
-        planner.reset_stats()
-        assert all(v == 0 for v in planner.decision_counts().values())
+            plan.should_shard(10, jobs=2)
+        plan.reset_plan_stats()
+        assert all(v == 0 for v in plan.decision_counts().values())
 
 
 class TestShardLayout:
-    def test_static_layout_is_the_pr6_tiling(self, many_cores):
-        planner = Planner(model=CostModel(window=8))
-        with plan.use_mode("static"):
-            layout = planner.shard_layout(10, jobs=4)
-        assert layout == [3, 3, 2, 2]  # min(jobs, n) shards, first-heavy
-
-    def test_auto_layout_oversubscribes_when_cold(self, many_cores):
-        planner = Planner(model=CostModel(window=8))
-        with plan.use_mode("auto"):
-            layout = planner.shard_layout(100, jobs=4)
-        assert len(layout) == 8  # OVERSUBSCRIPTION x jobs
-        assert sum(layout) == 100
-        assert max(layout) - min(layout) <= 1
-        assert sorted(layout, reverse=True) == layout  # remainder first
-
-    def test_auto_layout_caps_split_at_the_payoff_size(self, many_cores):
-        """A warm per-shard fit stops the split where setup stops paying."""
-        planner = Planner(model=CostModel(window=16))
-        # setup 10 ms, rate 10 us/subset: payoff size = 8 * 0.01 / 1e-5
-        # = 8000 subsets per shard.
-        for n in (10, 100, 1_000, 5_000):
-            planner.observe("shard", "python", n, 0.01 + 1e-5 * n)
-        with plan.use_mode("auto"):
-            layout = planner.shard_layout(48_001, jobs=4)
-        # target is 8 shards, but only 48001 // 8000 = 6 pay for their
-        # own dispatch; never fewer than min(jobs, n).
-        assert len(layout) == 6
-        assert sum(layout) == 48_001
-        assert sorted(layout, reverse=True) == layout
-
-    def test_layout_never_goes_below_the_job_floor(self, many_cores):
-        """The payoff cap cannot starve the pool below min(jobs, n)."""
-        planner = Planner(model=CostModel(window=16))
-        for n in (10, 100, 1_000, 5_000):
-            planner.observe("shard", "python", n, 0.01 + 1e-5 * n)
-        with plan.use_mode("auto"):
-            layout = planner.shard_layout(16_000, jobs=4)  # affords only 2
-        assert len(layout) == 4
-        assert sum(layout) == 16_000
+    def test_layout_is_min_jobs_n_equal_shards(self):
+        assert plan.shard_layout(10, jobs=4) == [3, 3, 2, 2]  # first-heavy
+        assert plan.shard_layout(3, jobs=4) == [1, 1, 1]
+        assert plan.shard_layout(100, jobs=2) == [50, 50]
 
     @pytest.mark.parametrize("mode", plan.PLAN_MODES)
     def test_degenerate_layouts(self, mode, many_cores):
-        planner = Planner(model=CostModel(window=8))
         with plan.use_mode(mode):
-            assert planner.shard_layout(0, jobs=4) == []
-            assert planner.shard_layout(5, jobs=1) == [5]
-            assert planner.shard_layout(1, jobs=4) == [1]
-
-
-class TestPlanSweep:
-    def test_serial_mode_runs_every_group_inline(self, many_cores):
-        planner = warm_planner()
-        with plan.use_mode("serial"):
-            sweep = planner.plan_sweep([100, 100_000, 7], jobs=4)
-        assert sweep.sharded == [] and sweep.batched == []
-        assert sweep.serial == [0, 1, 2]
-
-    def test_sharded_mode_shards_every_splittable_group(self, monkeypatch):
-        monkeypatch.setattr(plan.planner, "usable_cpus", lambda: 1)
-        planner = Planner(model=CostModel(window=8))
-        with plan.use_mode("sharded"):
-            sweep = planner.plan_sweep([100, 1, 50], jobs=4)
-        assert sweep.sharded == [0, 2]
-        assert sweep.batched == []
-        assert sweep.serial == [1]  # a 1-subset group cannot split
-
-    def test_static_mode_never_batches(self, many_cores, monkeypatch):
-        monkeypatch.setenv(plan.ENV_THRESHOLD, "1000")
-        plan.reset_plan_caches()
-        planner = warm_planner()
-        with plan.use_mode("static"):
-            sweep = planner.plan_sweep([600, 600, 5_000], jobs=4)
-        # 600 + 600 would clear the threshold combined, but static is
-        # the per-group PR 6 rule: smalls stay serial.
-        assert sweep.sharded == [2]
-        assert sweep.batched == []
-        assert sweep.serial == [0, 1]
-
-    def test_auto_batches_small_groups_whose_total_pays(self, many_cores):
-        """The sweep-point batching static never did: smalls combine."""
-        planner = warm_planner()  # crossover near 5.5k subsets
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([4_000, 4_000, 100_000], jobs=4)
-        assert sweep.sharded == [2]  # big enough on its own
-        assert sweep.batched == [0, 1]  # 8k combined beats serial
-        assert sweep.serial == []
-        assert planner.decision_counts()["batched_sweep"] == 1
-
-    def test_auto_keeps_smalls_serial_when_the_total_does_not_pay(
-        self, many_cores
-    ):
-        planner = warm_planner()
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([100, 200], jobs=4)  # 300 total
-        assert sweep.sharded == [] and sweep.batched == []
-        assert sweep.serial == [0, 1]
-        assert planner.decision_counts()["batched_sweep"] == 0
-
-    def test_single_small_group_is_never_batched(self, many_cores):
-        planner = warm_planner()
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([4_000], jobs=4)
-        assert sweep.batched == []  # batching needs >= 2 groups
-        assert sweep.serial == [0]
-
-    def test_empty_sweep(self, many_cores):
-        planner = warm_planner()
-        with plan.use_mode("auto"):
-            sweep = planner.plan_sweep([], jobs=4)
-        assert sweep.sharded == sweep.batched == sweep.serial == []
+            assert plan.shard_layout(0, jobs=4) == []
+            assert plan.shard_layout(5, jobs=1) == [5]
+            assert plan.shard_layout(1, jobs=4) == [1]
 
 
 # ----------------------------------------------------------------------
@@ -372,25 +166,27 @@ class TestModeAndCaches:
         assert plan.plan_mode() == "auto"
 
     def test_plan_mode_reads_and_validates_the_env(self, monkeypatch):
-        monkeypatch.setenv(plan.ENV_PLAN, "STATIC")  # case-insensitive
-        assert plan.plan_mode() == "static"
-        monkeypatch.setenv(plan.ENV_PLAN, "bogus")
-        with pytest.raises(PlanError, match="REPRO_PLAN"):
-            plan.plan_mode()
+        monkeypatch.setenv(plan.ENV_PLAN, "SHARDED")  # case-insensitive
+        assert plan.plan_mode() == "sharded"
+        for bogus in ("bogus", "static"):
+            monkeypatch.setenv(plan.ENV_PLAN, bogus)
+            with pytest.raises(PlanError, match="REPRO_PLAN"):
+                plan.plan_mode()
 
     def test_use_mode_overrides_env_and_restores(self, monkeypatch):
         monkeypatch.setenv(plan.ENV_PLAN, "serial")
         with plan.use_mode("sharded"):
             assert plan.plan_mode() == "sharded"
-            with plan.use_mode("static"):  # nesting restores one level
-                assert plan.plan_mode() == "static"
+            with plan.use_mode("auto"):  # nesting restores one level
+                assert plan.plan_mode() == "auto"
             assert plan.plan_mode() == "sharded"
         assert plan.plan_mode() == "serial"
 
     def test_use_mode_rejects_unknown_modes(self):
-        with pytest.raises(PlanError, match="unknown planner mode"):
-            with plan.use_mode("turbo"):
-                pass  # pragma: no cover - must not execute
+        for unknown in ("turbo", "static"):
+            with pytest.raises(PlanError, match="unknown planner mode"):
+                with plan.use_mode(unknown):
+                    pass  # pragma: no cover - must not execute
 
     def test_usable_cpus_probes_once_until_reset(self, monkeypatch):
         if not hasattr(os, "sched_getaffinity"):  # pragma: no cover
@@ -420,52 +216,6 @@ class TestModeAndCaches:
         monkeypatch.setenv(plan.ENV_THRESHOLD, "nope")
         with pytest.raises(KernelError, match="must be an integer"):
             plan.dispatch_threshold()
-
-    def test_plan_window_knob_is_validated(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLAN_WINDOW", raising=False)
-        assert config.plan_window() == plan.DEFAULT_WINDOW
-        monkeypatch.setenv("REPRO_PLAN_WINDOW", "16")
-        assert config.plan_window() == 16
-        for bad in ("2", "abc"):
-            monkeypatch.setenv("REPRO_PLAN_WINDOW", bad)
-            with pytest.raises(ConfigError):
-                config.plan_window()
-
-    def test_snapshot_cost_measured_once_per_identity(self):
-        planner = Planner(model=CostModel(window=8))
-        snapshot = {"weighted": [(1.0, 2.0)] * 100}
-        planner.observe_snapshot_cost(snapshot)
-        planner.observe_snapshot_cost(snapshot)  # same object: no re-pickle
-        assert planner.model.snapshot_stats()["samples"] == 1
-        planner.observe_snapshot_cost({"weighted": [(3.0,)] * 50})
-        assert planner.model.snapshot_stats()["samples"] == 2
-
-    def test_module_level_hooks_feed_the_process_planner(self):
-        plan.reset_planner()
-        try:
-            for n in (100, 200, 300, 400):
-                plan.observe_serial("python", n, 1e-5 * n)
-                plan.observe_sharded("python", n, 0.01 + 1e-6 * n, shards=2)
-                plan.observe_shard("python", n, 5e-6 * n)
-                plan.observe_lowering("python", n, 1e-7 * n)
-            stats = plan.plan_stats()
-            observations = stats["model"]["observations"]
-            assert observations["serial/python"] == 4
-            assert observations["sharded/python"] == 4
-            assert observations["shard/python"] == 4
-            assert observations["lower/python"] == 4
-            assert set(stats["decisions"]) == {
-                "serial",
-                "sharded",
-                "batched_sweep",
-                "model_warm",
-                "fallback",
-                "vetoed_single_core",
-            }
-            plan.reset_plan_stats()
-            assert all(v == 0 for v in plan.decision_counts().values())
-        finally:
-            plan.reset_planner()  # leave no synthetic timings behind
 
 
 # ----------------------------------------------------------------------
@@ -557,10 +307,8 @@ class TestModeBitIdentity:
     def test_mutation_interleaved_runs_stay_identical(self, seed, mode):
         """Mutations between planner-driven sweeps never change answers.
 
-        After every mutation the planner's cost model has drifted (new
-        observations, possibly new decisions) — the next batch must
-        still equal a fresh serial engine on the same graph, bit for
-        bit.
+        After every mutation the next planner-driven batch must still
+        equal a fresh serial engine on the same graph, bit for bit.
         """
         from repro.ext import IncrementalEntityGraph
         from repro.model import RelationshipTypeId
@@ -612,74 +360,4 @@ class TestEngineDecisionAccounting:
         # The engine attributes only its own deltas — whatever this box
         # decided, the counters are non-negative and strategy-shaped.
         assert all(v >= 0 for v in decisions.values())
-        assert set(decisions) <= {
-            "serial",
-            "sharded",
-            "batched_sweep",
-            "model_warm",
-            "fallback",
-            "vetoed_single_core",
-        }
-
-
-class _WeakrefableSnapshot:
-    """A minimal weakref-able snapshot stand-in for memoization tests."""
-
-    def __init__(self) -> None:
-        self.weighted = [(1.0, 2.0)] * 50
-
-
-class TestSnapshotCostIdReuse:
-    """The snapshot-cost memo must key on identity, not on ``id()`` alone.
-
-    Regression for a bug where the memo was a bare ``set`` of ``id()``
-    values: CPython recycles addresses after garbage collection, so a
-    fresh snapshot allocated at a dead snapshot's address silently
-    inherited its cost measurement and was never pickled-probed itself.
-    """
-
-    def test_recycled_id_is_measured_independently(self):
-        import gc
-
-        planner = Planner(model=CostModel(window=8))
-        first = _WeakrefableSnapshot()
-        planner.observe_snapshot_cost(first)
-        assert planner.model.snapshot_stats()["samples"] == 1
-        second = _WeakrefableSnapshot()
-        # Simulate address reuse: transplant the dead entry onto the new
-        # snapshot's id, then drop the original so its weakref dies.
-        planner._measured_snapshots[id(second)] = (
-            planner._measured_snapshots.pop(id(first))
-        )
-        del first
-        gc.collect()
-        planner.observe_snapshot_cost(second)
-        assert planner.model.snapshot_stats()["samples"] == 2
-
-    def test_live_collision_with_different_object_remeasures(self):
-        planner = Planner(model=CostModel(window=8))
-        first = _WeakrefableSnapshot()
-        second = _WeakrefableSnapshot()
-        planner.observe_snapshot_cost(first)
-        # A stored entry for second's id that resolves to *first* must
-        # not count as a hit for second.
-        planner._measured_snapshots[id(second)] = (
-            planner._measured_snapshots[id(first)]
-        )
-        planner.observe_snapshot_cost(second)
-        assert planner.model.snapshot_stats()["samples"] == 2
-
-    def test_memo_is_fifo_bounded(self):
-        planner = Planner(model=CostModel(window=64))
-        keep = [_WeakrefableSnapshot() for _ in range(20)]
-        for snapshot in keep:
-            planner.observe_snapshot_cost(snapshot)
-        assert len(planner._measured_snapshots) <= 16
-        assert planner.model.snapshot_stats()["samples"] == 20
-
-    def test_unweakrefable_snapshot_still_memoized(self):
-        planner = Planner(model=CostModel(window=8))
-        snapshot = {"weighted": [(1.0,)] * 10}  # dicts take no weakrefs
-        planner.observe_snapshot_cost(snapshot)
-        planner.observe_snapshot_cost(snapshot)
-        assert planner.model.snapshot_stats()["samples"] == 1
+        assert set(decisions) <= {"serial", "sharded", "vetoed_single_core"}
