@@ -150,7 +150,12 @@ class TestShardBoundaries:
         assert executor.best_allocation(snapshot, [], 1) is None
         assert executor.build_profiles(snapshot, [], cap=1) == []
 
-    @pytest.mark.parametrize("mode", plan.PLAN_MODES)
+    @pytest.mark.parametrize(
+        "mode",
+        # ``static`` was the fixed-threshold rule's mode name; it is now
+        # what ``auto`` runs.
+        [*plan.PLAN_MODES, pytest.param("auto", id="static")],
+    )
     @pytest.mark.parametrize("subset_count", [1, 2, 3, 5, 9])
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_no_shard_is_ever_empty(self, subset_count, jobs, mode):

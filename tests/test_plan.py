@@ -33,6 +33,10 @@ from repro.scoring import ScoringContext
 #: re-runs the whole suite under REPRO_PLAN=serial and =auto).
 JOBS = config.test_jobs()
 
+#: Every planner mode, plus ``static``: the fixed-threshold rule's old
+#: mode name, whose cases now run under ``auto`` (the same rule).
+PLAN_CASES = (*plan.PLAN_MODES, pytest.param("auto", id="static"))
+
 SMALL = settings(
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -92,7 +96,28 @@ class TestPlannerDecisions:
         assert counts["sharded"] == 1 and counts["serial"] == 2
         assert counts["vetoed_single_core"] == 0
 
-    def test_auto_mode_is_the_threshold_rule(self, many_cores, monkeypatch):
+    def test_static_mode_is_the_threshold_rule(self, many_cores, monkeypatch):
+        """The fixed-threshold rule (once the ``static`` mode) is ``auto``.
+
+        With no override the crossover is the default threshold, and
+        ``static`` itself is no longer a mode name.
+        """
+        monkeypatch.delenv(plan.ENV_THRESHOLD, raising=False)
+        threshold = plan.DEFAULT_DISPATCH_THRESHOLD
+        before = plan.decision_counts()
+        with plan.use_mode("auto"):
+            assert plan.should_shard(threshold, jobs=2)
+            assert not plan.should_shard(threshold - 1, jobs=2)
+        counts = counted(before)
+        assert counts["sharded"] == 1 and counts["serial"] == 1
+        with pytest.raises(PlanError, match="unknown planner mode"):
+            with plan.use_mode("static"):
+                pass  # pragma: no cover - must not execute
+
+    def test_auto_falls_back_to_threshold_while_cold(
+        self, many_cores, monkeypatch
+    ):
+        """With no execution history, ``auto`` decides by the threshold."""
         monkeypatch.setenv(plan.ENV_THRESHOLD, "100")
         before = plan.decision_counts()
         with plan.use_mode("auto"):
@@ -144,12 +169,21 @@ class TestPlannerDecisions:
 
 
 class TestShardLayout:
-    def test_layout_is_min_jobs_n_equal_shards(self):
+    def test_static_layout_is_the_pr6_tiling(self):
         assert plan.shard_layout(10, jobs=4) == [3, 3, 2, 2]  # first-heavy
         assert plan.shard_layout(3, jobs=4) == [1, 1, 1]
         assert plan.shard_layout(100, jobs=2) == [50, 50]
 
-    @pytest.mark.parametrize("mode", plan.PLAN_MODES)
+    def test_layout_never_goes_below_the_job_floor(self):
+        """Every layout is exactly min(jobs, n) non-empty, near-equal shards."""
+        for n, jobs in itertools.product((1, 2, 7, 16_000), (1, 2, 4, 9)):
+            layout = plan.shard_layout(n, jobs)
+            assert len(layout) == min(jobs, n)
+            assert sum(layout) == n
+            assert min(layout) >= 1
+            assert max(layout) - min(layout) <= 1
+
+    @pytest.mark.parametrize("mode", PLAN_CASES)
     def test_degenerate_layouts(self, mode, many_cores):
         with plan.use_mode(mode):
             assert plan.shard_layout(0, jobs=4) == []

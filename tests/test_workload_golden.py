@@ -114,7 +114,12 @@ def test_golden_digests_reproduce_under_each_kernel_backend(
     )
 
 
-@pytest.mark.parametrize("mode", plan.PLAN_MODES)
+@pytest.mark.parametrize(
+    "mode",
+    # ``static`` was the fixed-threshold rule's mode name; it is now what
+    # ``auto`` runs.
+    [*plan.PLAN_MODES, pytest.param("auto", id="static")],
+)
 def test_golden_digests_reproduce_under_every_plan_mode(golden, mode):
     """Planner modes replay the recorded payloads digest-for-digest.
 
