@@ -89,11 +89,6 @@ REPLICATION_WINDOW = _declare(
     "1024",
     "writer-side replication log entries retained for delta catch-up",
 )
-SNAPSHOT = _declare(
-    "REPRO_SNAPSHOT",
-    "auto",
-    "worker snapshot transport: auto | pickle | mmap",
-)
 
 
 def raw_knob(name: str) -> Optional[str]:
@@ -171,27 +166,6 @@ def replication_window() -> int:
         ) from None
     if value < 1:
         raise ConfigError(f"{REPLICATION_WINDOW.name} must be >= 1, got {value}")
-    return value
-
-
-def snapshot_transport() -> str:
-    """How scoring snapshots reach worker processes (default ``auto``).
-
-    ``mmap`` shares one memory-mapped score file across workers
-    (zero-copy, near-zero pickle cost), ``pickle`` ships the float
-    tuples over the pipe, and ``auto`` prefers ``mmap`` with a silent
-    fallback to ``pickle`` when the scratch file cannot be created.
-
-    Raises
-    ------
-    ConfigError
-        When ``REPRO_SNAPSHOT`` is set to an unknown transport.
-    """
-    value = (raw_knob(SNAPSHOT.name) or "auto").strip().lower() or "auto"
-    if value not in ("auto", "pickle", "mmap"):
-        raise ConfigError(
-            f"{SNAPSHOT.name} must be auto, pickle or mmap, got {value!r}"
-        )
     return value
 
 

@@ -28,10 +28,12 @@ sub-plans out of per-query execution:
   intersects the dirty types — untouched sweep points survive the
   mutation, qualifying-subset enumerations are kept outright (they
   depend only on schema structure), and allocation profiles are patched
-  per subset instead of rebuilt wholesale.  Structural mutations (new
-  entity/relationship types), unknown baselines and non-delta-capable
-  scorer pairs (random walk, entropy) fall back to the full cache drop,
-  so the fast path is never trusted beyond what the scorers guarantee.
+  per subset instead of rebuilt wholesale; a sharded dispatch projects
+  its worker snapshot afresh from the patched pool.  Structural
+  mutations (new entity/relationship types), unknown baselines and
+  non-delta-capable scorer pairs (random walk, entropy) fall back to the
+  full cache drop, so the fast path is never trusted beyond what the
+  scorers guarantee.
 
 Algorithms resolve through :data:`~repro.core.registry.DISCOVERY_ALGORITHMS`;
 a third-party algorithm registered there is immediately servable by the
@@ -163,10 +165,6 @@ class PreviewEngine:
         #: rebuilt against the patched pool before the next read (lazily
         #: applied by :meth:`_apriori_profiles`).
         self._stale_profiles: Dict[Tuple, set] = {}
-        #: Cached worker-pool snapshot + the types dirtied since it was
-        #: projected (refreshed in O(delta) on the next parallel build).
-        self._snapshot = None
-        self._snapshot_dirty: set = set()
         #: Whether this engine's scorer pair allows type-scoped eviction
         #: (both scorers must declare ``supports_delta``); resolved once
         #: from the scorer registries, False for unknown names.
@@ -226,8 +224,6 @@ class PreviewEngine:
         self._group_deps.clear()
         self._profiles.clear()
         self._stale_profiles.clear()
-        self._snapshot = None
-        self._snapshot_dirty.clear()
         self._eligible_deps = None
         self._invalidations += 1
 
@@ -305,9 +301,7 @@ class PreviewEngine:
         dropped; the rest — results over provably untouched scores —
         survive.  Qualifying-subset enumerations depend only on schema
         structure and are kept outright; allocation profiles containing
-        a dirty type are marked for lazy per-subset rebuild; the worker
-        snapshot accumulates the dirty set for its next O(delta)
-        refresh.
+        a dirty type are marked for lazy per-subset rebuild.
         """
         stale_keys = [
             key for key, deps in self._result_deps.items() if deps & dirty
@@ -328,8 +322,6 @@ class PreviewEngine:
             }
             if stale:
                 self._stale_profiles.setdefault(group_key, set()).update(stale)
-        if self._snapshot is not None:
-            self._snapshot_dirty.update(dirty)
 
     # ------------------------------------------------------------------
     # Queries
@@ -666,7 +658,8 @@ class PreviewEngine:
         after which every ``n`` along a sweep reuses them.
 
         With a parallel ``executor``, the per-subset merges run in
-        worker shards against a picklable pool snapshot and the profile
+        worker shards against a :class:`~repro.parallel.ScoringSnapshot`
+        projected from the current pool for this dispatch, and the profile
         payloads are re-hydrated here; the same allocation code runs on
         the same flat score arrays, so the profiles are bit-identical to
         a serial build (see :mod:`repro.parallel`).
@@ -684,7 +677,9 @@ class PreviewEngine:
         if executor is not None and plan.should_shard(
             len(subsets), executor.jobs
         ):
-            snapshot = self._current_snapshot(pool)
+            from ..parallel import ScoringSnapshot
+
+            snapshot = ScoringSnapshot.from_pool(pool)
             profiles = self._rehydrate_profiles(
                 pool, subsets, executor.build_profiles(snapshot, subsets, cap)
             )
@@ -754,26 +749,6 @@ class PreviewEngine:
                 )
         return profiles
 
-    def _current_snapshot(self, pool):
-        """The worker-pool snapshot for ``pool``, refreshed in O(delta).
-
-        Built once — as a zero-copy mmap-backed snapshot or a picklable
-        tuple snapshot per the ``REPRO_SNAPSHOT`` knob
-        (:func:`~repro.parallel.make_snapshot`) — then patched with the
-        types dirtied since the last parallel build (see
-        :meth:`~repro.parallel.ScoringSnapshot.refresh`): untouched rows
-        keep their already-projected scores, so a long-lived executor
-        stays warm across mutations.  Full invalidations reset it.
-        """
-        from ..parallel import make_snapshot
-
-        if self._snapshot is None:
-            self._snapshot = make_snapshot(pool)
-        elif self._snapshot_dirty:
-            self._snapshot = self._snapshot.refresh(pool, self._snapshot_dirty)
-        self._snapshot_dirty.clear()
-        return self._snapshot
-
     def _execute_apriori(
         self,
         context: ScoringContext,
@@ -830,7 +805,9 @@ class PreviewEngine:
         if executor is not None and plan.should_shard(
             len(subsets), executor.jobs
         ):
-            snapshot = self._current_snapshot(pool)
+            from ..parallel import ScoringSnapshot
+
+            snapshot = ScoringSnapshot.from_pool(pool)
             best_at = executor.best_allocation(snapshot, subsets, extra_cap)
         else:
             best_at = kernel.best_allocation(pool, subsets, extra_cap)

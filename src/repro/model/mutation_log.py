@@ -3,10 +3,9 @@
 The paper's discovery pipeline assumes a static graph; the ROADMAP's live
 workloads do not.  Incremental maintenance needs more than a *count* of
 mutations (the seed's ``generation`` integer): every consumer downstream
-— scoring contexts, candidate pools, engine memos, worker snapshots —
-wants to know *which* key types and relationship types a batch of
-mutations touched, so it can patch in O(delta) instead of rebuilding in
-O(graph).
+— scoring contexts, candidate pools, engine memos — wants to know
+*which* key types and relationship types a batch of mutations touched,
+so it can patch in O(delta) instead of rebuilding in O(graph).
 
 :class:`MutationLog` records one entry per mutation, each tagged with the
 generation it produced, the entity (key) types whose aggregates it

@@ -37,12 +37,10 @@ machine's CPU count.
 """
 
 from .executor import ShardedExecutor, resolve_jobs
-from .snapshot import MappedScoringSnapshot, ScoringSnapshot, make_snapshot
+from .snapshot import ScoringSnapshot
 
 __all__ = [
-    "MappedScoringSnapshot",
     "ScoringSnapshot",
     "ShardedExecutor",
-    "make_snapshot",
     "resolve_jobs",
 ]

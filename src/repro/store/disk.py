@@ -430,14 +430,15 @@ class DiskGraphStore:
                 f"{self._path}: {kind} store file ({file_size} bytes on "
                 f"disk, header promises {total_size})"
             )
+        fingerprint_raw = fingerprint_raw.rstrip(b"\x00")
         try:
-            fingerprint = fingerprint_raw.rstrip(b"\x00").decode("ascii")
+            fingerprint = fingerprint_raw.decode("ascii")
         except UnicodeDecodeError:
             fingerprint = ""
         if not _FINGERPRINT_RE.match(fingerprint):
             raise DiskStoreError(
                 f"{self._path}: malformed fingerprint field "
-                f"{fingerprint_raw.rstrip(b'x00')!r}"
+                f"{fingerprint_raw!r}"
             )
         self.fingerprint = fingerprint
         self._sections: Dict[str, Tuple[int, int]] = {}

@@ -365,6 +365,12 @@ class TestCorruption:
         with pytest.raises(DiskStoreError):
             open_store(fig1_store)
 
+    def test_garbage_fingerprint_message_quotes_the_field(self, fig1_store):
+        _rewrite(fig1_store, _garbage_fingerprint)
+        with pytest.raises(DiskStoreError) as info:
+            open_store(fig1_store)
+        assert str(info.value).endswith("field b'md5:garbage'")
+
     def test_empty_and_missing_files_raise(self, tmp_path):
         empty = tmp_path / f"empty{STORE_EXTENSION}"
         empty.write_bytes(b"")

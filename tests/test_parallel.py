@@ -222,6 +222,24 @@ class TestSnapshot:
             assert all(isinstance(score, float) for score in row)
         assert snapshot.attrs is snapshot.weighted
 
+    def test_sharded_engine_query_writes_no_files(
+        self, fig1_graph, tmp_path, monkeypatch
+    ):
+        """Worker snapshots travel over the pipe; nothing lands on disk."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        engine = PreviewEngine(fig1_graph)
+        dispatched = plan.decision_counts()["sharded"]
+        with plan.use_mode("sharded"):
+            result = engine.query(k=2, n=4, d=2, jobs=JOBS)
+        if JOBS > 1:
+            assert plan.decision_counts()["sharded"] > dispatched
+        assert list(tmp_path.iterdir()) == []
+        reference = PreviewEngine(fig1_graph).query(k=2, n=4, d=2)
+        assert result.score.hex() == reference.score.hex()
+        assert result.preview.keys() == reference.preview.keys()
+
 
 class TestAlgorithmEquivalence:
     @SMALL
@@ -325,7 +343,11 @@ class TestDeltaUnderShards:
         """Interleave mutations with sharded sweeps: every batch must
         equal the serial answer on a fresh engine, and the incremental
         aggregates + delta-patched candidate pools must diff clean
-        against a full rescan after every mutation."""
+        against a full rescan after every mutation.
+
+        The graphs sit far below the dispatch threshold, so the sweeps
+        run under the ``sharded`` plan mode: each dispatch then projects
+        its worker snapshot from the delta-patched pool."""
         from repro.core import make_context
         from repro.ext import IncrementalEntityGraph
         from repro.model import RelationshipTypeId
@@ -342,8 +364,11 @@ class TestDeltaUnderShards:
         grid = [
             PreviewQuery(k=2, n=n, d=d, mode="tight") for n in (3, 4, 5)
         ] + [PreviewQuery(k=2, n=4)]
+        jobs = max(JOBS, 2)
+        dispatched = plan.decision_counts()["sharded"]
         for batch in range(3):
-            sharded = engine.sweep(grid, skip_infeasible=True, jobs=JOBS)
+            with plan.use_mode("sharded"):
+                sharded = engine.sweep(grid, skip_infeasible=True, jobs=jobs)
             fresh = PreviewEngine(make_context(inc.entity_graph)).sweep(
                 grid, skip_infeasible=True
             )
@@ -356,6 +381,7 @@ class TestDeltaUnderShards:
                 (acted, directed)[batch % 2],
             )
             assert inc.verify_against_rescan(), (seed, d, batch)
+        assert plan.decision_counts()["sharded"] > dispatched, (seed, d)
 
 
 class TestSerialFallback:
@@ -434,148 +460,3 @@ class TestCliJobs:
         )
         assert code == 1
         assert "non-negative" in capsys.readouterr().err
-
-
-class TestMappedSnapshot:
-    """The zero-copy mmap snapshot transport (docs/disk-store.md)."""
-
-    def test_pickles_to_bytes_not_megabytes(self, fig1_context):
-        import pickle
-
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        plain = pickle.dumps(ScoringSnapshot.from_pool(pool))
-        mapped_snapshot = MappedScoringSnapshot.from_pool(pool)
-        try:
-            mapped = pickle.dumps(mapped_snapshot)
-            # The mapped payload is a path + lengths, independent of the
-            # score volume; the plain payload carries every float.
-            assert len(mapped) < len(plain)
-        finally:
-            mapped_snapshot.close()
-
-    def test_rows_are_bit_identical_to_plain_snapshot(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        plain = ScoringSnapshot.from_pool(pool)
-        mapped = MappedScoringSnapshot.from_pool(pool)
-        try:
-            assert mapped.index == plain.index
-            for mapped_row, plain_row in zip(mapped.weighted, plain.weighted):
-                assert [score.hex() for score in mapped_row] == [
-                    score.hex() for score in plain_row
-                ]
-            assert mapped.attrs is mapped.weighted
-        finally:
-            mapped.close()
-
-    def test_allocation_profile_identical_over_mapped_rows(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        keys = tuple(sorted(pool.index))[:3]
-        reference = build_allocation_profile(pool, keys)
-        mapped = MappedScoringSnapshot.from_pool(pool)
-        try:
-            profile = build_allocation_profile(mapped, keys)
-            assert profile.picks == reference.picks
-            assert [s.hex() for s in profile.cum] == [
-                s.hex() for s in reference.cum
-            ]
-        finally:
-            mapped.close()
-
-    def test_pickle_round_trip_shares_the_file(self, fig1_context):
-        import pickle
-
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        owner = MappedScoringSnapshot.from_pool(pool)
-        try:
-            clone = pickle.loads(pickle.dumps(owner))
-            for owner_row, clone_row in zip(owner.weighted, clone.weighted):
-                assert list(owner_row) == list(clone_row)
-        finally:
-            owner.close()
-
-    def test_refresh_patches_in_place(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        snapshot = MappedScoringSnapshot.from_pool(pool)
-        try:
-            dirty = next(iter(pool.index))
-            refreshed = snapshot.refresh(pool, [dirty])
-            # Same shape, same pool: identity (and the planner's one-time
-            # cost measurement) survives the refresh.
-            assert refreshed is snapshot
-            i = pool.index[dirty]
-            assert list(snapshot.weighted[i]) == list(pool.weighted[i])
-            assert snapshot.refresh(pool, []) is snapshot
-        finally:
-            snapshot.close()
-
-    def test_refresh_rebuilds_on_universe_change(self, fig1_context):
-        from repro.parallel import MappedScoringSnapshot
-
-        pool = fig1_context.candidate_pool()
-        snapshot = MappedScoringSnapshot.from_pool(pool)
-        try:
-            rebuilt = snapshot.refresh(pool, ["NO SUCH TYPE"])
-            assert rebuilt is not snapshot
-            rebuilt.close()
-        finally:
-            snapshot.close()
-
-    def test_transport_knob(self, fig1_context, monkeypatch):
-        from repro.exceptions import ConfigError
-        from repro.parallel import MappedScoringSnapshot, make_snapshot
-
-        pool = fig1_context.candidate_pool()
-        monkeypatch.setenv("REPRO_SNAPSHOT", "pickle")
-        assert isinstance(make_snapshot(pool), ScoringSnapshot)
-        monkeypatch.setenv("REPRO_SNAPSHOT", "mmap")
-        snapshot = make_snapshot(pool)
-        assert isinstance(snapshot, MappedScoringSnapshot)
-        snapshot.close()
-        monkeypatch.setenv("REPRO_SNAPSHOT", "bogus")
-        with pytest.raises(ConfigError):
-            make_snapshot(pool)
-
-    def test_auto_falls_back_when_scratch_fails(self, fig1_context, monkeypatch):
-        import tempfile as tempfile_module
-
-        from repro.exceptions import ConfigError
-        from repro.parallel import make_snapshot
-        from repro.parallel import snapshot as snapshot_module
-
-        def exploding_mkstemp(*args, **kwargs):
-            raise OSError("no scratch space")
-
-        monkeypatch.setattr(
-            snapshot_module.tempfile, "mkstemp", exploding_mkstemp
-        )
-        assert tempfile_module.mkstemp is not exploding_mkstemp or True
-        pool = fig1_context.candidate_pool()
-        monkeypatch.setenv("REPRO_SNAPSHOT", "auto")
-        assert isinstance(make_snapshot(pool), ScoringSnapshot)
-        monkeypatch.setenv("REPRO_SNAPSHOT", "mmap")
-        with pytest.raises(ConfigError, match="mmap"):
-            make_snapshot(pool)
-
-    @pytest.mark.parametrize("transport", ["pickle", "mmap"])
-    def test_engine_results_identical_across_transports(
-        self, fig1_graph, monkeypatch, transport
-    ):
-        """The transport moves bytes, never scores."""
-        monkeypatch.setenv("REPRO_SNAPSHOT", "pickle")
-        engine = PreviewEngine(fig1_graph)
-        reference = engine.query(k=2, n=4, jobs=1)
-        monkeypatch.setenv("REPRO_SNAPSHOT", transport)
-        engine = PreviewEngine(fig1_graph)
-        result = engine.query(k=2, n=4, jobs=JOBS)
-        assert result.score.hex() == reference.score.hex()
-        assert result.preview.keys() == reference.preview.keys()

@@ -26,7 +26,7 @@ from repro.core import make_context
 from repro.datasets import random_schema_graph
 from repro.engine import PreviewEngine, PreviewQuery
 from repro.exceptions import InfeasiblePreviewError, KernelError, PlanError
-from repro.parallel import ShardedExecutor, make_snapshot
+from repro.parallel import ScoringSnapshot, ShardedExecutor
 from repro.scoring import ScoringContext
 
 #: Worker count for the equivalence properties (the CI planner leg also
@@ -142,7 +142,7 @@ class TestPlannerDecisions:
         context = context_for((8, 12, 7))
         pool = context.candidate_pool()
         subsets = list(itertools.combinations(sorted(pool.index), 2))
-        snapshot = make_snapshot(pool)
+        snapshot = ScoringSnapshot.from_pool(pool)
         with ShardedExecutor(2) as executor:
             for n in (2, 4, 8, 16, len(subsets)):
                 for _ in range(2):
