@@ -28,8 +28,9 @@ on the regenerated and the store-materialized graph.
 
 A third row records the real-scale cold start: **music** at scale 1000
 (215,480 mutations), where both materialize and regenerate run through
-``EntityGraph.bulk_load``.  It records ``materialize_ms`` and
-``regenerate_ms`` and asserts only that the two graphs agree
+``EntityGraph.bulk_load``.  It records ``build_ms``, ``store_bytes``,
+``materialize_ms`` and ``regenerate_ms`` and asserts only that the two
+graphs agree
 (fingerprint, generation, relationship-type order and the exact
 relationship sequence) — no timing floor.
 
@@ -132,7 +133,9 @@ def _measure_scale(scale: int, directory: Path) -> dict:
 def _measure_music(directory: Path) -> dict:
     graph = generate_domain(MUSIC_DOMAIN, scale=MUSIC_SCALE, seed=SEED)
     path = directory / f"{MUSIC_DOMAIN}-{MUSIC_SCALE}{STORE_EXTENSION}"
-    build_store(graph, path)
+    start = time.perf_counter()
+    size = build_store(graph, path)
+    build_ms = (time.perf_counter() - start) * 1000.0
 
     def materialize():
         with open_store(path) as store:
@@ -150,6 +153,8 @@ def _measure_music(directory: Path) -> dict:
         "entities": graph.entity_count,
         "relationships": graph.edge_count,
         "generation": graph.generation,
+        "store_bytes": size,
+        "build_ms": round(build_ms, 3),
         "materialize_ms": round(materialize_ms, 3),
         "regenerate_ms": round(regenerate_ms, 3),
         "fingerprint_identical": (
@@ -242,7 +247,8 @@ if __name__ == "__main__":
     )
     music = result["music"]
     print(
-        f"{music['domain']} scale {music['scale']}: materialize "
-        f"{music['materialize_ms']:.0f} ms vs regenerate "
+        f"{music['domain']} scale {music['scale']}: build "
+        f"{music['build_ms']:.0f} ms ({music['store_bytes']} bytes), "
+        f"materialize {music['materialize_ms']:.0f} ms vs regenerate "
         f"{music['regenerate_ms']:.0f} ms"
     )

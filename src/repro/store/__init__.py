@@ -1,8 +1,8 @@
 """Triple-store substrate: indexed storage, pattern queries, persistence.
 
 :mod:`repro.store.disk` adds the persistent binary backend — a single
-``.rgs`` file with a sorted string dictionary, mmap-backed triple
-permutations and interval indexes — opened in O(header) time by
+``.rgs`` file with a sorted string dictionary and the graph's recorded
+orders, mmap-backed and digest-sealed — opened in O(header) time by
 :func:`open_store`.
 """
 

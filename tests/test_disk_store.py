@@ -1,16 +1,14 @@
 """The persistent binary graph store (repro.store.disk).
 
-Three properties carry the module:
+Two properties carry the module:
 
 * **round-trip bit-identity** — a reopened graph preserves insertion
   order, first-seen type order and the header fingerprint, so scorers
   cannot tell it from the source graph;
-* **index equivalence** — interval scans, permutation scans and the
-  CSR neighborhood walk answer exactly what the in-memory structures
-  answer;
 * **loud corruption** — every damaged-file shape raises
   ``DiskStoreError`` (mirroring the snapshot corruption suite in
-  ``tests/test_replicate.py``), never a wrong answer.
+  ``tests/test_replicate.py``), never a wrong answer: one flipped or
+  missing byte anywhere in the file never yields a graph.
 """
 
 from __future__ import annotations
@@ -32,13 +30,14 @@ from repro.datasets.loader import (
     save_domain,
 )
 from repro.exceptions import DiskStoreError, StoreError
-from repro.store import (
-    STORE_EXTENSION,
-    build_store,
-    open_store,
-    store_from_entity_graph,
+from repro.store import STORE_EXTENSION, build_store, open_store
+from repro.store.disk import (
+    _DIGEST_OFFSET,
+    _HEADER,
+    SECTION_NAMES,
+    VERSION,
+    _file_digest,
 )
-from repro.store.disk import SECTION_NAMES, VERSION
 
 import importlib.util
 from pathlib import Path
@@ -52,8 +51,8 @@ _conftest = importlib.util.module_from_spec(_conftest_spec)
 _conftest_spec.loader.exec_module(_conftest)
 build_fig1_graph = _conftest.build_fig1_graph
 
-_HEADER_PREFIX = struct.calcsize("<8sII9Q")  # fingerprint field offset
-_SECTION_TABLE = struct.calcsize("<8sII9Q72s")  # section table offset
+_HEADER_PREFIX = _DIGEST_OFFSET - 72  # the 72-byte fingerprint field
+_SECTION_TABLE = _HEADER.size  # section table offset
 
 
 @pytest.fixture()
@@ -217,95 +216,39 @@ class TestAtomicBuild:
 
 
 # ----------------------------------------------------------------------
-# Index equivalence
-# ----------------------------------------------------------------------
-class TestQueries:
-    def test_interval_scan_matches_entities_of_type(self, domain_pair):
-        graph, path = domain_pair
-        with open_store(path) as store:
-            for type_name in graph.entity_types():
-                start, end = store.type_interval(type_name)
-                members = store.entities_of_type(type_name)
-                assert end - start == len(members)
-                assert set(members) == set(graph.entities_of_type(type_name))
-
-    def test_unknown_type_raises(self, fig1_store):
-        with open_store(fig1_store) as store:
-            with pytest.raises(DiskStoreError, match="unknown entity type"):
-                store.type_interval("NO SUCH TYPE")
-
-    def test_triple_scans_match_triple_store(self, domain_pair):
-        graph, path = domain_pair
-        expected = {
-            (t.subject, t.predicate, t.object): count
-            for t, count in store_from_entity_graph(graph).triples()
-        }
-        with open_store(path) as store:
-            actual = {
-                (t.subject, t.predicate, t.object): count
-                for t, count in store.triples()
-            }
-            assert actual == expected
-            subject = next(iter(graph.entities()))
-            got = {
-                (t.subject, t.predicate, t.object): count
-                for t, count in store.scan_counted(subject=subject)
-            }
-            assert got == {
-                key: count for key, count in expected.items() if key[0] == subject
-            }
-            predicate = "a"
-            got = {
-                (t.subject, t.predicate, t.object): count
-                for t, count in store.scan_counted(predicate=predicate)
-            }
-            assert got == {
-                key: count
-                for key, count in expected.items()
-                if key[1] == predicate
-            }
-
-    def test_scan_of_absent_term_is_empty(self, fig1_store):
-        with open_store(fig1_store) as store:
-            assert list(store.scan_counted(subject="nobody")) == []
-            assert store.string_id("nobody") is None
-            assert store.entity_row("nobody") is None
-
-    def test_neighborhood_matches_graph_bfs(self, domain_pair):
-        graph, path = domain_pair
-        adjacency = {}
-        for source, target, _rel in graph.relationships():
-            adjacency.setdefault(source, set()).add(target)
-            adjacency.setdefault(target, set()).add(source)
-        with open_store(path) as store:
-            for entity in list(graph.entities())[:20]:
-                for hops in (0, 1, 2):
-                    expected = {entity}
-                    frontier = {entity}
-                    for _ in range(hops):
-                        frontier = {
-                            neighbor
-                            for node in frontier
-                            for neighbor in adjacency.get(node, ())
-                        } - expected
-                        expected |= frontier
-                    assert store.neighborhood(entity, hops=hops) == expected
-
-    def test_neighborhood_of_unknown_entity_raises(self, fig1_store):
-        with open_store(fig1_store) as store:
-            with pytest.raises(DiskStoreError, match="unknown entity"):
-                store.neighborhood("nobody")
-            with pytest.raises(DiskStoreError, match=">= 0"):
-                store.neighborhood("Will Smith", hops=-1)
-
-
-# ----------------------------------------------------------------------
 # Corruption (every shape raises DiskStoreError)
 # ----------------------------------------------------------------------
 def _rewrite(path, mutate):
     data = bytearray(path.read_bytes())
     mutate(data)
     path.write_bytes(bytes(data))
+
+
+def _reseal(data):
+    """Re-stamp the file digest over ``data``, as a drifted encoder would.
+
+    Damage that keeps the digest consistent gets past the byte check and
+    reaches the decoding and fingerprint checks behind it.
+    """
+    data[_DIGEST_OFFSET:_HEADER.size] = _file_digest(
+        (data[:_DIGEST_OFFSET], data[_HEADER.size:])
+    )
+
+
+def _set_header_field(data, index, value):
+    fields = list(_HEADER.unpack_from(data, 0))
+    fields[index] = value
+    _HEADER.pack_into(data, 0, *fields)
+
+
+def _materializes(path):
+    """Whether ``path`` opens and materializes without a DiskStoreError."""
+    try:
+        with open_store(path) as store:
+            store.entity_graph()
+    except DiskStoreError:
+        return False
+    return True
 
 
 def _truncate_half(data):
@@ -333,8 +276,8 @@ def _garbage_fingerprint(data):
 
 
 def _dangling_section(data):
-    # Point the spo section (index 9) past the end of the file.
-    entry = _SECTION_TABLE + SECTION_NAMES.index("spo") * 16
+    # Point the relationships section past the end of the file.
+    entry = _SECTION_TABLE + SECTION_NAMES.index("relationships") * 16
     struct.pack_into("<QQ", data, entry, len(data), 4096)
 
 
@@ -391,11 +334,20 @@ class TestCorruption:
             data[_HEADER_PREFIX:_HEADER_PREFIX + 72] = (
                 f"sha256:{flipped}".encode("ascii").ljust(72, b"\x00")
             )
+            _reseal(data)
 
         _rewrite(fig1_store, flip_fingerprint)
         with open_store(fig1_store) as store:
             with pytest.raises(DiskStoreError, match="fingerprint mismatch"):
                 store.entity_graph()
+
+    def test_materialization_error_propagates_through_close(self, fig1_store):
+        """An error raised inside ``entity_graph`` leaves the ``with``
+        block as itself, not as a failure to unmap the file."""
+        _rewrite(fig1_store, lambda data: _set_header_field(data, 4, 0))
+        with pytest.raises(DiskStoreError, match="stored generation 0"):
+            with open_store(fig1_store) as store:
+                store.entity_graph(verify=False)
 
     def test_dangling_dictionary_offset_is_rejected(self, fig1_store):
         """A dictionary offset past the blob raises, never misreads."""
@@ -437,6 +389,7 @@ class TestCorruption:
             entry = _SECTION_TABLE + SECTION_NAMES.index("relationships") * 16
             offset, _length = struct.unpack_from("<QQ", data, entry)
             struct.pack_into("<Q", data, offset + (3 * row + 1) * 8, wrong)
+            _reseal(data)
 
         _rewrite(fig1_store, retype)
         if not collector_on:
@@ -451,6 +404,68 @@ class TestCorruption:
 
     def test_disk_store_error_is_a_store_error(self):
         assert issubclass(DiskStoreError, StoreError)
+
+    def test_version_1_store_is_rejected(self, fig1_store):
+        """A store from before the file digest fails with a typed error."""
+        _rewrite(fig1_store, lambda data: _set_header_field(data, 1, 1))
+        with pytest.raises(DiskStoreError, match="unsupported store version 1 "):
+            open_store(fig1_store)
+
+    def test_reordered_relationships_are_rejected(self, fig1_store):
+        """Swapped relationship rows keep the order-blind fingerprint but
+        would change the materialized relationship order."""
+
+        def swap_first_two(data):
+            entry = _SECTION_TABLE + SECTION_NAMES.index("relationships") * 16
+            offset, _length = struct.unpack_from("<QQ", data, entry)
+            first, second = data[offset:offset + 24], data[offset + 24:offset + 48]
+            assert first != second
+            data[offset:offset + 48] = second + first
+
+        _rewrite(fig1_store, swap_first_two)
+        with open_store(fig1_store) as store:
+            with pytest.raises(DiskStoreError, match="digest mismatch"):
+                store.entity_graph()
+
+    def test_changed_generation_is_rejected(self, fig1_store):
+        """The generation is outside the fingerprint, so only the file
+        digest catches a changed one."""
+        with open_store(fig1_store) as store:
+            generation = store.generation
+        _rewrite(
+            fig1_store, lambda data: _set_header_field(data, 4, generation + 1000)
+        )
+        with open_store(fig1_store) as store:
+            assert store.generation == generation + 1000
+            with pytest.raises(DiskStoreError, match="digest mismatch"):
+                store.entity_graph()
+
+
+class TestEveryByte:
+    """No single damaged or missing byte yields a graph."""
+
+    def test_every_flipped_byte_is_rejected(self, fig1_store, tmp_path):
+        original = fig1_store.read_bytes()
+        damaged = tmp_path / f"damaged{STORE_EXTENSION}"
+        accepted = []
+        for offset in range(len(original)):
+            data = bytearray(original)
+            data[offset] ^= 0xFF
+            damaged.write_bytes(bytes(data))
+            if _materializes(damaged):
+                accepted.append(offset)
+        assert accepted == []
+
+    def test_every_truncation_is_rejected(self, fig1_store, tmp_path):
+        original = fig1_store.read_bytes()
+        damaged = tmp_path / f"damaged{STORE_EXTENSION}"
+        accepted = []
+        for size in range(len(original)):
+            damaged.write_bytes(original[:size])
+            if _materializes(damaged):
+                accepted.append(size)
+        assert accepted == []
+        assert _materializes(fig1_store)
 
 
 # ----------------------------------------------------------------------
